@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: release build + tests, ASan+UBSan build + tests, a TSan
-# pass over the threaded suites, and a bench smoke run that emits
-# BENCH_datapath.json.  Set ROFL_CHECK_FULL=1 to also run every figure bench
-# at full length (slow).
+# pass over the threaded suites, the repo benchmark's smoke test, and a bench
+# smoke run that emits BENCH_datapath.json.  Set ROFL_CHECK_FULL=1 to also
+# run every figure bench at full length (slow).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +17,13 @@ cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer"
 cmake --build build-asan -j
 ctest --test-dir build-asan --output-on-failure -j
+
+# Repo benchmark smoke: all four perfbench/ workloads at ~1% size with every
+# check on (section 6.3 parity, the codec round trip on the live frame
+# corpus, counter parity with net::run_mesh); ~2.5 s once built.
+cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build --target rofl_bench -j
+ctest --test-dir .bench_build --output-on-failure
 
 # Datapath bench smoke: short run, but long enough for stable ns/op, and it
 # exercises the JSON trajectory plumbing end to end.

@@ -7,7 +7,6 @@ namespace rofl::proto {
 
 namespace {
 
-using wire::Packet;
 using wire::PacketType;
 namespace msg = wire::msg;
 
@@ -144,9 +143,7 @@ Core::LookupTask* Core::lookup_by_nonce(std::uint64_t nonce) {
 }
 
 Vnode* Core::best_predecessor(const NodeId& target) {
-  const auto it = closest_predecessor(
-      vnodes_.begin(), vnodes_.end(), target,
-      [](const auto& kv) -> const NodeId& { return kv.first; });
+  const auto it = closest_predecessor(vnodes_, target);
   return it == vnodes_.end() ? nullptr : &it->second;
 }
 
@@ -183,14 +180,15 @@ void Core::answer_locate(RouterId requester, const NodeId& target,
                now_ms);
 }
 
-void Core::on_locate(const Packet& pkt, const msg::Locate& m, double now_ms) {
-  const RouterId requester = label_router(pkt.source);
+void Core::on_locate(const wire::Header& hdr, const msg::Locate& m,
+                     double now_ms) {
+  const RouterId requester = label_router(hdr.source);
   if (vnodes_.empty()) {
     // Nothing to answer with yet; punt the walk at the bootstrap router
     // (it always holds the seed).  Self-forwarding would loop.
     if (cfg_.self != cfg_.bootstrap) {
-      send_control(cfg_.bootstrap, m, pkt.source, pkt.destination,
-                   pkt.trace_id, now_ms);
+      send_control(cfg_.bootstrap, m, hdr.source, hdr.destination,
+                   hdr.trace_id, now_ms);
     }
     return;
   }
@@ -198,7 +196,7 @@ void Core::on_locate(const Packet& pkt, const msg::Locate& m, double now_ms) {
     // Lookup probe for an id resident right here: answer with the target
     // itself -- the requester reads `neighbor == target` as a hit and
     // `neighbor_host` as the owning router.
-    answer_locate(requester, m.target, m.target, cfg_.self, pkt.trace_id,
+    answer_locate(requester, m.target, m.target, cfg_.self, hdr.trace_id,
                   now_ms);
     return;
   }
@@ -209,7 +207,7 @@ void Core::on_locate(const Packet& pkt, const msg::Locate& m, double now_ms) {
     const auto it = vnodes_.find(m.target);
     if (it == vnodes_.end()) return;
     answer_locate(requester, m.target, it->second.pred,
-                  it->second.pred_owner, pkt.trace_id, now_ms);
+                  it->second.pred_owner, hdr.trace_id, now_ms);
     return;
   }
   if (is_predecessor_of(p->id, m.target, p->succ)) {
@@ -217,10 +215,10 @@ void Core::on_locate(const Packet& pkt, const msg::Locate& m, double now_ms) {
       // Lookup termination at the predecessor: its successor pointer is the
       // resolution.  succ == target resolves the owner (hit); anything else
       // proves the id is not in the ring (miss).
-      answer_locate(requester, m.target, p->succ, p->succ_owner, pkt.trace_id,
+      answer_locate(requester, m.target, p->succ, p->succ_owner, hdr.trace_id,
                     now_ms);
     } else {
-      answer_locate(requester, m.target, p->id, cfg_.self, pkt.trace_id,
+      answer_locate(requester, m.target, p->id, cfg_.self, hdr.trace_id,
                     now_ms);
     }
     return;
@@ -228,14 +226,14 @@ void Core::on_locate(const Packet& pkt, const msg::Locate& m, double now_ms) {
   // Forward the walk greedily; the source label (requester) is preserved so
   // the eventual answer goes straight back.
   env_.metrics().add(locate_steps_);
-  send_control(p->succ_owner, m, pkt.source, pkt.destination, pkt.trace_id,
+  send_control(p->succ_owner, m, hdr.source, hdr.destination, hdr.trace_id,
                now_ms);
 }
 
-void Core::on_join_request(const Packet& pkt, const msg::JoinRequest& m,
+void Core::on_join_request(const wire::Header& hdr, const msg::JoinRequest& m,
                            double now_ms) {
   const RouterId requester = m.gateway;
-  const NodeId target = pkt.destination;
+  const NodeId target = hdr.destination;
   obs::Registry& reg = env_.metrics();
   // Self-certification (section 2.1): the label must be the hash of the
   // carried public key.
@@ -266,7 +264,7 @@ void Core::on_join_request(const Packet& pkt, const msg::JoinRequest& m,
       redirect.predecessor_host = cfg_.bootstrap;
     }
     send_control(requester, redirect, router_label(cfg_.self), target,
-                 pkt.trace_id, now_ms);
+                 hdr.trace_id, now_ms);
     return;
   }
   // Splice target between p and p.succ; the reply carries p's (singleton)
@@ -278,7 +276,7 @@ void Core::on_join_request(const Packet& pkt, const msg::JoinRequest& m,
   const msg::JoinReply reply =
       make_join_reply(p->id, cfg_.self, std::span(&old_succ, 1), target);
   std::vector<std::uint8_t> frame = msg::encode_control(
-      reply, router_label(cfg_.self), target, pkt.trace_id);
+      reply, router_label(cfg_.self), target, hdr.trace_id);
   const auto it =
       per_type_.find(static_cast<std::uint8_t>(PacketType::kJoinReply));
   reg.add(it->second.msgs);
@@ -290,9 +288,9 @@ void Core::on_join_request(const Packet& pkt, const msg::JoinRequest& m,
   schedule_install(old_succ.owner, old_succ.id, target, requester, now_ms);
 }
 
-void Core::on_join_reply(const Packet& pkt, const msg::JoinReply& m,
+void Core::on_join_reply(const wire::Header& hdr, const msg::JoinReply& m,
                          double now_ms) {
-  JoinTask* t = join_by_nonce(pkt.trace_id);
+  JoinTask* t = join_by_nonce(hdr.trace_id);
   if (t == nullptr || t->st != JoinTask::St::kJoining) return;  // stale
   if (m.successors.empty()) {
     // Redirect: re-locate from the router the splicer pointed us at.
@@ -314,10 +312,11 @@ void Core::on_join_reply(const Packet& pkt, const msg::JoinReply& m,
   active_.erase(active_.begin() + (t - active_.data()));
 }
 
-void Core::on_pointer_install(const Packet& pkt, const msg::PointerInstall& m,
+void Core::on_pointer_install(const wire::Header& hdr,
+                              const msg::PointerInstall& m,
                               double now_ms) {
   if (m.op == 2) {  // locate answer (join walk or lookup probe)
-    if (JoinTask* t = join_by_nonce(pkt.trace_id)) {
+    if (JoinTask* t = join_by_nonce(hdr.trace_id)) {
       if (t->st != JoinTask::St::kLocating) return;  // stale
       t->st = JoinTask::St::kJoining;
       t->join_to = m.neighbor_host;
@@ -328,7 +327,7 @@ void Core::on_pointer_install(const Packet& pkt, const msg::PointerInstall& m,
       send_join_request(*t, now_ms);
       return;
     }
-    LookupTask* l = lookup_by_nonce(pkt.trace_id);
+    LookupTask* l = lookup_by_nonce(hdr.trace_id);
     if (l == nullptr) return;  // stale
     ++lookups_completed_;
     obs::Registry& reg = env_.metrics();
@@ -359,13 +358,14 @@ void Core::on_pointer_install(const Packet& pkt, const msg::PointerInstall& m,
     // only needs to know the install arrived (a stale install is *complete*,
     // not lost).
     msg::Keepalive ack;
-    ack.seq = pkt.trace_id;
-    send_control(label_router(pkt.source), ack, router_label(cfg_.self),
-                 m.subject, pkt.trace_id, now_ms);
+    ack.seq = hdr.trace_id;
+    send_control(label_router(hdr.source), ack, router_label(cfg_.self),
+                 m.subject, hdr.trace_id, now_ms);
   }
 }
 
-void Core::on_repair(const Packet& pkt, const msg::Repair& m, double now_ms) {
+void Core::on_repair(const wire::Header& hdr, const msg::Repair& m,
+                     double now_ms) {
   // A departing neighbor's relink: re-point this survivor's successor
   // (op 0) or predecessor (op 1) across the departing run.  Departure is
   // serialized after convergence, so the apply is unconditional; duplicate
@@ -383,12 +383,12 @@ void Core::on_repair(const Packet& pkt, const msg::Repair& m, double now_ms) {
     return;  // unknown relink op: ignore (no ack, sender gives up loudly)
   }
   msg::Keepalive ack;
-  ack.seq = pkt.trace_id;
-  send_control(label_router(pkt.source), ack, router_label(cfg_.self),
-               m.subject, pkt.trace_id, now_ms);
+  ack.seq = hdr.trace_id;
+  send_control(label_router(hdr.source), ack, router_label(cfg_.self),
+               m.subject, hdr.trace_id, now_ms);
 }
 
-void Core::on_keepalive(const Packet& /*pkt*/, const msg::Keepalive& m) {
+void Core::on_keepalive(const wire::Header& /*hdr*/, const msg::Keepalive& m) {
   if (installs_.erase(m.seq) != 0) {
     env_.metrics().add(acks_);
     return;
@@ -452,9 +452,8 @@ void Core::begin_leave(double now_ms) {
 }
 
 void Core::on_frame(std::span<const std::uint8_t> frame, double now_ms) {
-  const auto pkt = Packet::decode(frame);
-  const auto m = msg::decode_control(frame);
-  if (!pkt.has_value() || !m.has_value()) {
+  const auto f = msg::decode_frame(frame);
+  if (!f.has_value()) {
     // CRC-rejected (impairment corruption) or otherwise undecodable: to the
     // protocol this is loss; retries recover.
     env_.metrics().add(decode_failed_);
@@ -464,21 +463,21 @@ void Core::on_frame(std::span<const std::uint8_t> frame, double now_ms) {
       [&](const auto& mm) {
         using T = std::decay_t<decltype(mm)>;
         if constexpr (std::is_same_v<T, msg::Locate>) {
-          on_locate(*pkt, mm, now_ms);
+          on_locate(f->header, mm, now_ms);
         } else if constexpr (std::is_same_v<T, msg::JoinRequest>) {
-          on_join_request(*pkt, mm, now_ms);
+          on_join_request(f->header, mm, now_ms);
         } else if constexpr (std::is_same_v<T, msg::JoinReply>) {
-          on_join_reply(*pkt, mm, now_ms);
+          on_join_reply(f->header, mm, now_ms);
         } else if constexpr (std::is_same_v<T, msg::PointerInstall>) {
-          on_pointer_install(*pkt, mm, now_ms);
+          on_pointer_install(f->header, mm, now_ms);
         } else if constexpr (std::is_same_v<T, msg::Repair>) {
-          on_repair(*pkt, mm, now_ms);
+          on_repair(f->header, mm, now_ms);
         } else if constexpr (std::is_same_v<T, msg::Keepalive>) {
-          on_keepalive(*pkt, mm);
+          on_keepalive(f->header, mm);
         }
         // Other control types never appear in the live protocol.
       },
-      *m);
+      f->message);
 }
 
 void Core::tick(double now_ms) {

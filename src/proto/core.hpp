@@ -94,8 +94,9 @@ class Core {
   /// Serialize against joins: call only after the mesh has converged.
   void begin_leave(double now_ms);
 
-  /// Decodes one received control frame and dispatches it.  Undecodable
-  /// frames (CRC-rejected corruption) count as loss; retries recover.
+  /// Decodes one received control frame (one pass: msg::decode_frame) and
+  /// dispatches it.  Undecodable frames (CRC-rejected corruption) count as
+  /// loss; retries recover.
   void on_frame(std::span<const std::uint8_t> frame, double now_ms);
 
   /// Timer pass: start queued joins/lookups up to the outstanding cap, fire
@@ -180,17 +181,17 @@ class Core {
   void start_locate(JoinTask& t, RouterId at, double now_ms);
   void send_join_request(JoinTask& t, double now_ms);
   void start_lookup(LookupTask& t, RouterId at, double now_ms);
-  void on_locate(const wire::Packet& pkt, const wire::msg::Locate& m,
+  void on_locate(const wire::Header& hdr, const wire::msg::Locate& m,
                  double now_ms);
-  void on_join_request(const wire::Packet& pkt,
+  void on_join_request(const wire::Header& hdr,
                        const wire::msg::JoinRequest& m, double now_ms);
-  void on_join_reply(const wire::Packet& pkt, const wire::msg::JoinReply& m,
+  void on_join_reply(const wire::Header& hdr, const wire::msg::JoinReply& m,
                      double now_ms);
-  void on_pointer_install(const wire::Packet& pkt,
+  void on_pointer_install(const wire::Header& hdr,
                           const wire::msg::PointerInstall& m, double now_ms);
-  void on_repair(const wire::Packet& pkt, const wire::msg::Repair& m,
+  void on_repair(const wire::Header& hdr, const wire::msg::Repair& m,
                  double now_ms);
-  void on_keepalive(const wire::Packet& pkt, const wire::msg::Keepalive& m);
+  void on_keepalive(const wire::Header& hdr, const wire::msg::Keepalive& m);
   void schedule_install(RouterId dst, const NodeId& subject,
                         const NodeId& neighbor, RouterId neighbor_owner,
                         double now_ms);
@@ -198,7 +199,8 @@ class Core {
                      const NodeId& neighbor, RouterId neighbor_owner,
                      std::uint64_t trace_id, double now_ms);
   /// Local vnode with the smallest nonzero clockwise distance to `target`
-  /// (proto::closest_predecessor over the resident map); nullptr when none.
+  /// (proto::closest_predecessor, O(log n) on the ordered resident map);
+  /// nullptr when none.
   Vnode* best_predecessor(const NodeId& target);
   JoinTask* join_by_nonce(std::uint64_t nonce);
   LookupTask* lookup_by_nonce(std::uint64_t nonce);

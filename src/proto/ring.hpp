@@ -46,27 +46,19 @@ namespace rofl::proto {
   return cur_pred == self || NodeId::in_interval_oo(cur_pred, candidate, self);
 }
 
-/// The locally best predecessor candidate for `target`: among [first, last),
-/// the element whose projected id has the smallest nonzero clockwise
-/// distance to target (an id is never its own predecessor).  Returns `last`
-/// when the only id present is the target itself (or the range is empty).
-/// Distance from a fixed target is injective, so the minimum -- and the
-/// returned element -- is unique regardless of iteration order.
-template <class It, class Proj>
-[[nodiscard]] It closest_predecessor(It first, It last, const NodeId& target,
-                                     Proj&& id_of) {
-  It best = last;
-  NodeId best_d;
-  for (It it = first; it != last; ++it) {
-    const NodeId& id = id_of(*it);
-    if (id == target) continue;
-    const NodeId d = NodeId::distance_cw(id, target);
-    if (best == last || d < best_d) {
-      best = it;
-      best_d = d;
-    }
-  }
-  return best;
+/// The locally best predecessor candidate for `target` in an ordered map
+/// keyed by NodeId: the entry with the smallest nonzero clockwise distance to
+/// target (an id is never its own predecessor).  On the ordered keys that is
+/// the greatest key strictly below target, wrapping around to the largest
+/// key -- one lower_bound, O(log n).  Returns end() when the map is empty or
+/// holds only the target itself.
+template <class Map>
+[[nodiscard]] auto closest_predecessor(Map& ids, const NodeId& target) {
+  auto it = ids.lower_bound(target);
+  if (it == ids.begin()) it = ids.end();  // nothing below target: wrap
+  if (it == ids.begin()) return ids.end();  // empty
+  --it;
+  return it->first == target ? ids.end() : it;
 }
 
 /// One ring neighbor as every substrate names it: an id plus the router

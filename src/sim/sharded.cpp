@@ -104,8 +104,14 @@ void ShardContext::send(EntityId dst, double delay_ms, std::uint32_t kind,
   util::SpscQueue<ShardEvent>& chan =
       *eng.channels_[shard_ * eng.shard_count() + target];
   while (!chan.push(ev)) {
-    // Receiver drains unconditionally on every loop iteration, so a full
-    // ring is transient back-pressure, never deadlock.
+    // The receiver may itself be stuck here, sending into a full channel
+    // back to this shard.  Draining our own inbound channels while we wait
+    // lets both sides make progress, so full rings are back-pressure, never
+    // deadlock.  Every event drained now is stamped at or after the horizon
+    // of the window being executed (each sender's published promise bounds
+    // its sends), so it waits in the local queue and the window is
+    // unchanged.
+    eng.drain_inbound(shard_);
     std::this_thread::yield();
   }
 }

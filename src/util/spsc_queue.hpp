@@ -7,9 +7,9 @@
 // only ever *reads* the other's index with acquire ordering.  Capacity is
 // rounded up to a power of two so index masking is one AND.
 //
-// push() is non-blocking and returns false when full -- the shard loop spins
-// with a yield, which is safe because the consumer drains unconditionally on
-// every iteration regardless of how far its clock may advance.
+// push() is non-blocking and returns false when full -- the sending shard
+// spins with a yield, draining its own inbound queues while it waits, so two
+// shards that fill each other's queues cannot block each other forever.
 //
 // Thread contract: this is a TWO-thread structure.  Exactly one thread may
 // call push() (the producer) and exactly one thread may call pop() (the

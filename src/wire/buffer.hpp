@@ -18,6 +18,11 @@ namespace rofl::wire {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Reserves `capacity` bytes up front: an encoder that knows its exact
+  /// output size (Packet::wire_size, msg::control_wire_size) allocates once.
+  explicit ByteWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) {
     buf_.push_back(static_cast<std::uint8_t>(v >> 8));

@@ -1,12 +1,14 @@
 #include "wire/messages.hpp"
 
+#include <cassert>
+
 namespace rofl::wire::msg {
 namespace {
 
 // ---- per-type payload encoders ---------------------------------------------
-// Each writes only the payload bytes; packet framing (header + CRC) is added
-// by Packet::encode.  All counts ride u16 fields and are range-checked by the
-// caller before these run.
+// Each writes only the payload bytes; the frame head and CRC trailer come
+// from write_frame_head / seal_frame.  All counts ride u16 fields and are
+// range-checked by the caller before these run.
 
 void put(ByteWriter& w, const JoinRequest& m) {
   w.u64(m.nonce);
@@ -91,8 +93,8 @@ void put(ByteWriter& w, const RingMerge& m) {
 }
 
 // ---- per-type payload decoders ---------------------------------------------
-// Every field read is checked; the shared decode_control wrapper additionally
-// requires the payload to be fully consumed.
+// Every field read is checked; decode_frame additionally requires the payload
+// to be fully consumed.
 
 std::optional<ControlMessage> get_join_request(ByteReader& r) {
   JoinRequest m;
@@ -293,26 +295,27 @@ PacketType type_of(const ControlMessage& m) {
 std::vector<std::uint8_t> encode_control(const ControlMessage& m,
                                          const NodeId& src, const NodeId& dst,
                                          std::uint64_t trace_id) {
-  if (!counts_fit(m) || payload_size(m) > 0xFFFF) return {};
-  ByteWriter w;
+  const std::size_t len = payload_size(m);
+  if (!counts_fit(m) || len > 0xFFFF) return {};
+  Packet head;  // control frames: no as_path, capability, or packet fingers
+  head.type = type_of(m);
+  head.destination = dst;
+  head.source = src;
+  head.trace_id = trace_id;
+  ByteWriter w(kFrameOverhead + len);
+  write_frame_head(w, head, len);
   std::visit([&w](const auto& x) { put(w, x); }, m);
-  if (!w.ok()) return {};
-  Packet p;
-  p.type = type_of(m);
-  p.source = src;
-  p.destination = dst;
-  p.trace_id = trace_id;
-  p.payload = w.take();
-  return p.encode();
+  seal_frame(w);
+  assert(w.size() == kFrameOverhead + len);
+  return w.take();
 }
 
-std::optional<ControlMessage> decode_control(
-    std::span<const std::uint8_t> frame) {
-  const auto p = Packet::decode(frame);
-  if (!p.has_value()) return std::nullopt;
-  ByteReader r(p->payload);
+std::optional<Frame> decode_frame(std::span<const std::uint8_t> frame) {
+  const auto f = parse_frame(frame);
+  if (!f.has_value()) return std::nullopt;
+  ByteReader r(f->payload);
   std::optional<ControlMessage> m;
-  switch (p->type) {
+  switch (f->header.type) {
     case PacketType::kJoinRequest: m = get_join_request(r); break;
     case PacketType::kJoinReply: m = get_join_reply(r); break;
     case PacketType::kLocate: m = get_locate(r); break;
@@ -327,7 +330,14 @@ std::optional<ControlMessage> decode_control(
     default: return std::nullopt;  // kData / kCapabilityGrant carry no codec
   }
   if (!m.has_value() || !r.exhausted()) return std::nullopt;
-  return m;
+  return Frame{f->header, std::move(*m)};
+}
+
+std::optional<ControlMessage> decode_control(
+    std::span<const std::uint8_t> frame) {
+  auto f = decode_frame(frame);
+  if (!f.has_value()) return std::nullopt;
+  return std::move(f->message);
 }
 
 std::size_t control_wire_size(const ControlMessage& m) {

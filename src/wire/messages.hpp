@@ -157,16 +157,29 @@ using ControlMessage = std::variant<JoinRequest, JoinReply, Locate,
 [[nodiscard]] PacketType type_of(const ControlMessage& m);
 
 /// Encodes `m` into a complete wire frame (packet header + typed payload +
-/// CRC-32 trailer).  Returns an empty vector when any count exceeds its u16
-/// wire limit -- the same explicit-failure contract as Packet::encode();
-/// callers must check and never transmit a zero-byte frame.
+/// CRC-32 trailer), written once into a buffer sized by control_wire_size.
+/// Returns an empty vector when any count exceeds its u16 wire limit -- the
+/// same explicit-failure contract as Packet::encode(); callers must check
+/// and never transmit a zero-byte frame.
 [[nodiscard]] std::vector<std::uint8_t> encode_control(
     const ControlMessage& m, const NodeId& src, const NodeId& dst,
     std::uint64_t trace_id = 0);
 
-/// Decodes a frame produced by encode_control: Packet::decode (CRC verified)
-/// followed by the per-type payload codec.  Returns nullopt on any
-/// corruption, truncation, unknown type, or trailing payload bytes.
+/// A decoded control frame: the CRC-verified header and its typed message.
+struct Frame {
+  Header header;
+  ControlMessage message;
+};
+
+/// Decodes a frame produced by encode_control in one pass: one CRC check and
+/// one header parse (wire::parse_frame, shared with Packet::decode), then
+/// the per-type payload codec reads the payload in place from `frame`.
+/// Returns nullopt on any corruption, truncation, unknown type, or trailing
+/// payload bytes.
+[[nodiscard]] std::optional<Frame> decode_frame(
+    std::span<const std::uint8_t> frame);
+
+/// decode_frame's message alone, for callers that need no header field.
 [[nodiscard]] std::optional<ControlMessage> decode_control(
     std::span<const std::uint8_t> frame);
 

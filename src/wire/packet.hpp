@@ -72,7 +72,9 @@ struct FingerField {
   friend bool operator==(const FingerField&, const FingerField&) = default;
 };
 
-struct Packet {
+/// The fixed leading fields of every frame: a Packet's first part, and what
+/// wire::msg::decode_frame returns beside the message.
+struct Header {
   std::uint8_t version = kVersion;
   PacketType type = PacketType::kData;
   std::uint8_t ttl = 64;
@@ -85,6 +87,11 @@ struct Packet {
   /// on the wire so one id names a packet's whole flight across the
   /// intradomain -> interdomain handoff.
   std::uint64_t trace_id = 0;
+
+  friend bool operator==(const Header&, const Header&) = default;
+};
+
+struct Packet : Header {
   /// AS-level source route accumulated as the packet travels (section 2.3).
   std::vector<std::uint32_t> as_path;
   std::optional<CapabilityField> capability;
@@ -115,6 +122,40 @@ struct Packet {
 
   friend bool operator==(const Packet&, const Packet&) = default;
 };
+
+/// A CRC-verified frame split into its fields without copying: the
+/// variable-length sections are views into the decoded buffer.  parse_frame
+/// is the one parser of the frame layout -- Packet::decode materializes a
+/// Packet from it, and wire::msg::decode_frame parses the control payload in
+/// place.
+struct FrameView {
+  Header header;
+  std::span<const std::uint8_t> as_path;  ///< 4 bytes per AS
+  std::optional<CapabilityField> capability;
+  std::span<const std::uint8_t> fingers;  ///< 20 bytes per FingerField
+  std::span<const std::uint8_t> payload;
+};
+
+/// Verifies the CRC trailer, then splits the frame.  nullopt on the same
+/// conditions as Packet::decode.
+[[nodiscard]] std::optional<FrameView> parse_frame(
+    std::span<const std::uint8_t> data);
+
+/// Writes `head`'s frame layout up to and including the u16 payload length
+/// (head.payload itself is not written): the one writer of the frame layout,
+/// shared by Packet::encode and wire::msg::encode_control.  The caller then
+/// appends exactly `payload_len` payload bytes and calls seal_frame.  Counts
+/// must already be range-checked against their u16 fields.
+void write_frame_head(ByteWriter& w, const Packet& head,
+                      std::size_t payload_len);
+
+/// Appends the CRC-32 trailer over everything written so far.
+void seal_frame(ByteWriter& w);
+
+/// The frame trailer's CRC-32: IEEE 802.3, reflected polynomial 0xEDB88320,
+/// initial value and final XOR 0xFFFFFFFF (check value: "123456789" ->
+/// 0xCBF43926).  Slicing-by-8 over compile-time tables.
+[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// Serializes a NodeId (16 bytes, big-endian).
 void write_node_id(ByteWriter& w, const NodeId& id);

@@ -16,6 +16,7 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -59,29 +60,96 @@ TEST(Ring, AcceptNotify) {
   EXPECT_FALSE(accept_notify(id64(50), id64(40), id64(50)));
 }
 
+/// Brute-force reference for closest_predecessor: scan every id for the
+/// smallest nonzero clockwise distance to the target.  Returns nullopt when
+/// the only id present is the target itself (or there are none).
+std::optional<NodeId> brute_closest_predecessor(const std::vector<NodeId>& ids,
+                                                const NodeId& target) {
+  std::optional<NodeId> best;
+  NodeId best_d;
+  for (const NodeId& id : ids) {
+    if (id == target) continue;
+    const NodeId d = NodeId::distance_cw(id, target);
+    if (!best.has_value() || d < best_d) {
+      best = id;
+      best_d = d;
+    }
+  }
+  return best;
+}
+
+std::map<NodeId, int> as_map(const std::vector<NodeId>& ids) {
+  std::map<NodeId, int> m;
+  for (const NodeId& id : ids) m.emplace(id, 0);
+  return m;
+}
+
+/// closest_predecessor over an ordered map, as an optional id.
+std::optional<NodeId> map_closest_predecessor(const std::map<NodeId, int>& m,
+                                              const NodeId& target) {
+  const auto it = closest_predecessor(m, target);
+  if (it == m.end()) return std::nullopt;
+  return it->first;
+}
+
 TEST(Ring, ClosestPredecessor) {
+  // Each case runs through the ordered-map lookup and the brute-force scan.
+  struct Case {
+    std::vector<NodeId> ids;
+    NodeId target;
+    std::optional<NodeId> want;
+  };
   const std::vector<NodeId> ids = {id64(10), id64(30), id64(70)};
-  const auto proj = [](const NodeId& id) -> const NodeId& { return id; };
-  // Largest id at-or-below the target wins (smallest nonzero cw distance).
-  auto it = closest_predecessor(ids.begin(), ids.end(), id64(50), proj);
-  ASSERT_NE(it, ids.end());
-  EXPECT_EQ(*it, id64(30));
-  // A resident target is never its own predecessor.
-  it = closest_predecessor(ids.begin(), ids.end(), id64(30), proj);
-  ASSERT_NE(it, ids.end());
-  EXPECT_EQ(*it, id64(10));
-  // Wraparound: below the smallest id, the largest is the predecessor.
-  it = closest_predecessor(ids.begin(), ids.end(), id64(5), proj);
-  ASSERT_NE(it, ids.end());
-  EXPECT_EQ(*it, id64(70));
-  // Empty range and only-the-target both return last.
-  const std::vector<NodeId> none;
-  EXPECT_EQ(closest_predecessor(none.begin(), none.end(), id64(1), proj),
-            none.end());
-  const std::vector<NodeId> self_only = {id64(5)};
-  EXPECT_EQ(closest_predecessor(self_only.begin(), self_only.end(), id64(5),
-                                proj),
-            self_only.end());
+  const std::vector<Case> cases = {
+      // Largest id at-or-below the target wins (smallest nonzero cw
+      // distance).
+      {ids, id64(50), id64(30)},
+      // A resident target is never its own predecessor.
+      {ids, id64(30), id64(10)},
+      // Wraparound: below the smallest id, the largest is the predecessor.
+      {ids, id64(5), id64(70)},
+      // Above the largest id, the largest is the predecessor.
+      {ids, id64(900), id64(70)},
+      // Empty ring and only-the-target both have no predecessor.
+      {{}, id64(1), std::nullopt},
+      {{id64(5)}, id64(5), std::nullopt},
+      // A lone id is everyone else's predecessor.
+      {{id64(5)}, id64(3), id64(5)},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(map_closest_predecessor(as_map(c.ids), c.target), c.want)
+        << "target " << c.target;
+    EXPECT_EQ(brute_closest_predecessor(c.ids, c.target), c.want)
+        << "target " << c.target;
+  }
+}
+
+TEST(Ring, ClosestPredecessorMatchesBruteForce) {
+  // Random rings of 1-2000 full-width ids.  Targets: every kind of random
+  // point, resident ids, and the points just below the smallest and just
+  // above the largest id (the wraparound edges).
+  Rng rng(1729);
+  const auto random_id = [&rng] {
+    return NodeId(rng.next_u64(), rng.next_u64());
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 1 + rng.index(trial < 20 ? 8 : 2000);
+    std::vector<NodeId> ids;
+    for (std::size_t i = 0; i < n; ++i) ids.push_back(random_id());
+    const std::map<NodeId, int> ring = as_map(ids);
+    const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+    std::vector<NodeId> targets = {lo->minus(id64(1)), *lo, *hi,
+                                   hi->plus(id64(1))};
+    for (int k = 0; k < 20; ++k) {
+      targets.push_back(random_id());
+      targets.push_back(ids[rng.index(ids.size())]);
+    }
+    for (const NodeId& t : targets) {
+      ASSERT_EQ(map_closest_predecessor(ring, t),
+                brute_closest_predecessor(ids, t))
+          << "trial " << trial << " n " << n << " target " << t;
+    }
+  }
 }
 
 TEST(Ring, MakeJoinReplyFiltersJoinerWithSingletonFallback) {

@@ -106,6 +106,49 @@ TEST(ShardedSimulator, MergedResultsIndependentOfShardCount) {
   }
 }
 
+TEST(ShardedSimulator, FullChannelsDoNotDeadlock) {
+  // Regression: two shards that each flood the other through a tiny channel
+  // both end up blocked in ShardContext::send.  A sender that did not drain
+  // its own inbound channels while it waited hung forever here; ctest's
+  // timeout on this test turns a relapse into a failure, not a hang.
+  struct Snapshot {
+    std::string metrics;
+    std::uint64_t processed = 0;
+  };
+  const auto run_with = [](std::uint32_t shards) {
+    sim::ShardedSimulator::Config cfg;
+    cfg.shards = shards;
+    cfg.lookahead_ms = 1.0;
+    cfg.channel_capacity = 4;
+    sim::ShardedSimulator eng({0, shards - 1}, cfg);
+    obs::MetricId received{}, times{};
+    eng.set_registry_init([&](obs::Registry& r) {
+      received = r.counter("toy.received");
+      times = r.histogram("toy.when",
+                          obs::Histogram::linear_bounds(0.0, 1.0, 8));
+    });
+    eng.set_handler([&](sim::ShardContext& ctx, const sim::ShardEvent& ev) {
+      if (ev.kind == 0) {  // seed: flood the other entity
+        for (std::uint32_t i = 0; i < 100; ++i) {
+          ctx.send(1 - ctx.self(), 1.0 + i % 4, 1);
+        }
+        return;
+      }
+      ctx.metrics().add(received, 1);
+      ctx.metrics().observe(times, ev.when);
+    });
+    eng.seed_event(0.0, 0, 0);
+    eng.seed_event(0.0, 1, 0);
+    const auto stats = eng.run();
+    return Snapshot{eng.merged_metrics().to_json(2), stats.processed};
+  };
+  const Snapshot one = run_with(1);
+  EXPECT_EQ(one.processed, 202u);
+  const Snapshot two = run_with(2);
+  EXPECT_EQ(two.processed, one.processed);
+  EXPECT_EQ(two.metrics, one.metrics);
+}
+
 inter::ScaleParams small_params(std::uint32_t shards) {
   inter::ScaleParams p;
   p.topo.tier1_count = 4;

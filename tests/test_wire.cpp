@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace rofl::wire {
@@ -309,6 +313,48 @@ TEST(Packet, FragmentsRejectsMtuBelowFramingOverhead) {
   EXPECT_EQ(p.fragments(kFrameOverhead + 1),
             (p.wire_size() + kFrameOverhead) / (kFrameOverhead + 1));
   EXPECT_GT(p.fragments(kFrameOverhead + 1), 0u);
+}
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the reference the
+/// table-driven wire::crc32 must reproduce exactly.
+std::uint32_t bitwise_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, CheckValue) {
+  // The standard CRC-32/ISO-HDLC check value.
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(bitwise_crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32, TableMatchesBitwiseReference) {
+  // Every length 0-64 (each tail length of the 8-byte stride, several times
+  // over) plus random lengths up to 2048, each at start offsets 0-7 so the
+  // unaligned loads are covered.
+  Rng rng(0xC3C3);
+  std::vector<std::uint8_t> buf(2048 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.below(256));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (int k = 0; k < 64; ++k) lengths.push_back(rng.index(2049));
+  for (const std::size_t n : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const std::span<const std::uint8_t> s(buf.data() + off, n);
+      ASSERT_EQ(crc32(s), bitwise_crc32(s)) << "length " << n << " offset "
+                                            << off;
+    }
+  }
 }
 
 TEST(Packet, NodeIdSerialization) {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "sim/faults.hpp"
 #include "util/rng.hpp"
 
@@ -117,6 +121,136 @@ TEST(ControlMessages, RoundTripEveryType) {
   }
 }
 
+/// One fixed instance of each message type, in ControlMessage order, for
+/// the golden-bytes pin.
+std::vector<ControlMessage> golden_messages() {
+  JoinRequest jr;
+  jr.nonce = 0x0102030405060708ull;
+  jr.gateway = 7;
+  jr.host_class = 1;
+  jr.strategy = 2;
+  for (std::size_t i = 0; i < jr.public_key.size(); ++i) {
+    jr.public_key[i] = static_cast<std::uint8_t>(0xA0 + i);
+  }
+  jr.fingers = {{0xA1B2C3D4u, 0x0102}, {5, 6}};
+  JoinReply rp;
+  rp.predecessor = NodeId(0x1111111111111111ull, 0x2222222222222222ull);
+  rp.predecessor_host = 3;
+  rp.successors = {FingerField{NodeId(1, 2), 4}};
+  rp.migrated_ephemerals = {NodeId(5, 6)};
+  return {jr,
+          rp,
+          Locate{NodeId(0x0123456789ABCDEFull, 0xFEDCBA9876543210ull), 2},
+          PointerInstall{NodeId(1, 2), NodeId(3, 4), 5, 1},
+          Teardown{NodeId(7, 8), 1},
+          Repair{NodeId(9, 10), NodeId(11, 12), 13, 0},
+          Keepalive{0xDEADBEEFCAFEF00Dull},
+          Lsa{1, 2, 3, 4, 5},
+          RingMerge{NodeId(6, 7), 8, 9, 10, 2},
+          LabelInstall{NodeId(11, 12), 13, 14, 15, 1},
+          LabelTeardown{NodeId(16, 17), 18, 2}};
+}
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+TEST(ControlMessages, GoldenBytesPerType) {
+  // The wire format is frozen: these frames come from the original
+  // bit-at-a-time-CRC encoder, and every encoder must reproduce them byte
+  // for byte.
+  const std::vector<std::string> golden = {
+      // JoinRequest, 114 bytes
+      "01024000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb112233445566778800000000003c0102030405060708000000070102"
+      "a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf"
+      "0002a1b2c3d401020000000500061947fea9",
+      // JoinReply, 114 bytes
+      "01034000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb112233445566778800000000003c1111111111111111222222222222"
+      "2222000000030001000000000000000100000000000000020000000400010000"
+      "0000000000050000000000000006cbbb79b5",
+      // Locate, 71 bytes
+      "01084000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb11223344556677880000000000110123456789abcdeffedcba987654"
+      "3210023e6cfe64",
+      // PointerInstall, 91 bytes
+      "01094000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb11223344556677880000000000250000000000000001000000000000"
+      "00020000000000000003000000000000000400000005012426f4b3",
+      // Teardown, 71 bytes
+      "01044000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb11223344556677880000000000110000000000000007000000000000"
+      "0008015d7d53b6",
+      // Repair, 91 bytes
+      "01054000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb11223344556677880000000000250000000000000009000000000000"
+      "000a000000000000000b000000000000000c0000000d00cc03afca",
+      // Keepalive, 62 bytes
+      "01064000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb1122334455667788000000000008deadbeefcafef00d58f76ed0",
+      // Lsa, 75 bytes
+      "010a4000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb11223344556677880000000000150000000100000000000000020300"
+      "00000400000005edf4b0aa",
+      // RingMerge, 81 bytes
+      "010b4000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb112233445566778800000000001b0000000000000006000000000000"
+      "00070000000800000009000a028843d17f",
+      // LabelInstall, 83 bytes
+      "010c4000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb112233445566778800000000001d000000000000000b000000000000"
+      "000c0000000d0000000e0000000f01d66a364d",
+      // LabelTeardown, 75 bytes
+      "010d4000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
+      "bbbbbbbb11223344556677880000000000150000000000000010000000000000"
+      "00110000001202d7b5eb01",
+  };
+  const NodeId src(0xAAAAAAAAAAAAAAAAull, 0xBBBBBBBBBBBBBBBBull);
+  const NodeId dst(0xCCCCCCCCCCCCCCCCull, 0xDDDDDDDDDDDDDDDDull);
+  const std::uint64_t trace = 0x1122334455667788ull;
+  const std::vector<ControlMessage> msgs = golden_messages();
+  ASSERT_EQ(msgs.size(), golden.size());
+  ASSERT_EQ(std::variant_size_v<ControlMessage>, golden.size());
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(msgs[i].index(), i);
+    const auto frame = encode_control(msgs[i], src, dst, trace);
+    EXPECT_EQ(to_hex(frame), golden[i]) << "type " << i;
+    const auto back = decode_frame(frame);
+    ASSERT_TRUE(back.has_value()) << "type " << i;
+    EXPECT_EQ(back->message, msgs[i]) << "type " << i;
+    EXPECT_EQ(back->header.source, src);
+    EXPECT_EQ(back->header.destination, dst);
+    EXPECT_EQ(back->header.trace_id, trace);
+  }
+}
+
+TEST(ControlMessages, DecodeFrameHeaderMatchesPacketDecode) {
+  // The one-pass decode and Packet::decode share one header parser; the
+  // header fields they report must agree on every type.
+  Rng rng(4242);
+  for (std::size_t which = 0; which < 11; ++which) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const ControlMessage m = random_message(rng, which);
+      const auto frame =
+          encode_control(m, random_id(rng), random_id(rng), rng.next_u64());
+      ASSERT_FALSE(frame.empty());
+      const auto f = decode_frame(frame);
+      const auto p = Packet::decode(frame);
+      ASSERT_TRUE(f.has_value() && p.has_value()) << "type " << which;
+      EXPECT_EQ(f->message, m);
+      EXPECT_EQ(f->header.type, type_of(m));
+      EXPECT_EQ(f->header, static_cast<const Header&>(*p)) << "type " << which;
+    }
+  }
+}
+
 TEST(ControlMessages, ControlWireSizeMatchesEncoder) {
   Rng rng(7);
   for (std::size_t which = 0; which < 11; ++which) {
@@ -139,6 +273,8 @@ TEST(ControlMessages, TruncationAlwaysRejected) {
     for (std::size_t cut = 0; cut < frame.size(); ++cut) {
       EXPECT_FALSE(decode_control({frame.data(), cut}).has_value())
           << "type " << which << " prefix " << cut;
+      EXPECT_FALSE(decode_frame({frame.data(), cut}).has_value())
+          << "type " << which << " prefix " << cut;
     }
   }
 }
@@ -155,6 +291,8 @@ TEST(ControlMessages, SingleBitFlipAlwaysRejected) {
       auto flipped = frame;
       flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       EXPECT_FALSE(decode_control(flipped).has_value())
+          << "type " << which << " bit " << bit;
+      EXPECT_FALSE(decode_frame(flipped).has_value())
           << "type " << which << " bit " << bit;
     }
   }

@@ -140,6 +140,20 @@ double nonneg_dbl_arg(const Args& a, const std::string& key, double dflt) {
   return v;
 }
 
+/// Strictly positive numeric option (tick widths, lookahead): zero or
+/// negative exits 2 with usage.  A zero-width tick or a zero lookahead never
+/// advances the engine, so the run would spin forever instead of erroring.
+double positive_dbl_arg(const Args& a, const std::string& key, double dflt) {
+  const double v = a.dbl(key, dflt);
+  if (!std::isfinite(v) || v <= 0.0) {
+    std::cerr << "--" << key << " must be a positive number (got '"
+              << a.str(key, "") << "')\n\n";
+    usage();
+    std::exit(2);
+  }
+  return v;
+}
+
 /// Probability option: negative exits 2; above 1.0 clamps to 1.0 with a
 /// warning (the user almost certainly meant "always", so run -- but say so,
 /// because the fault injector would otherwise accept 1.2 and behave as 1.0
@@ -981,10 +995,13 @@ int cmd_shard(const Args& a) {
   p.shards = static_cast<std::uint32_t>(positive_num_arg(a, "shards", 1));
   p.hosts = a.num("hosts", 100'000);
   p.duration_ms = a.dbl("duration", 2000.0);
-  p.tick_ms = a.dbl("tick", 50.0);
+  p.tick_ms = positive_dbl_arg(a, "tick", 50.0);
   p.op_rate_per_host_hz = nonneg_dbl_arg(a, "rate", 1.0);
-  p.lookahead_ms = nonneg_dbl_arg(a, "lookahead", 1.0);
-  p.slots_per_as = static_cast<std::uint32_t>(a.num("slots", 64));
+  // The conservative sync needs a positive lookahead across shards; one
+  // shard never waits on a horizon, so zero is fine there.
+  p.lookahead_ms = p.shards > 1 ? positive_dbl_arg(a, "lookahead", 1.0)
+                                : nonneg_dbl_arg(a, "lookahead", 1.0);
+  p.slots_per_as = static_cast<std::uint32_t>(positive_num_arg(a, "slots", 64));
   // --ases scales the default AS mix proportionally (default 1518 total).
   const double scale = a.dbl("ases", 0.0) > 0.0
                            ? a.dbl("ases", 0.0) / 1518.0
