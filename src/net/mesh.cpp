@@ -124,173 +124,58 @@ bool wants_leave(const MeshConfig& cfg) {
          static_cast<std::uint32_t>(cfg.leave_router) < cfg.routers;
 }
 
-MeshResult run_mesh_loopback(const MeshConfig& cfg) {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<LoopbackTransport>> transports;
-  std::vector<std::unique_ptr<LiveRouter>> routers;
-  std::vector<LiveRouter*> raw;
-  for (RouterId r = 0; r < cfg.routers; ++r) {
-    transports.push_back(std::make_unique<LoopbackTransport>(r, &hub));
-    if (cfg.rate_pps > 0.0) transports.back()->set_rate_limit(cfg.rate_pps);
-    routers.push_back(
-        std::make_unique<LiveRouter>(router_config(cfg, r), transports[r].get()));
-    raw.push_back(routers.back().get());
-  }
-  const std::vector<Identity> ids = make_identities(cfg.seed, cfg.hosts);
-  assign_hosts(cfg, ids, raw);
-
-  // Virtual clock: every router steps at the same instant, one round per
-  // tick.  Deterministic end to end -- same seed, same byte counts.
+/// Loopback phase: every router steps at the same virtual instant, one round
+/// per 0.25 ms tick, until all are quiescent or `budget_ms` of virtual time
+/// has passed since the phase started.  Deterministic end to end -- same
+/// seed, same byte counts.
+bool step_virtual(const std::vector<LiveRouter*>& routers, double& now,
+                  double budget_ms) {
   constexpr double kTickMs = 0.25;
-  double now = 0.0;
-  const auto run_phase = [&](double deadline) {
-    while (now < deadline) {
-      for (auto& r : routers) r->step(now);
-      const bool quiet =
-          std::all_of(routers.begin(), routers.end(),
-                      [](const auto& r) { return r->quiescent(); });
-      if (quiet) return true;
-      now += kTickMs;
+  const double deadline = now + budget_ms;
+  while (now < deadline) {
+    for (LiveRouter* r : routers) r->step(now);
+    if (std::all_of(routers.begin(), routers.end(),
+                    [](const LiveRouter* r) { return r->quiescent(); })) {
+      return true;
     }
-    return false;
-  };
-
-  // Phase 1: the join storm.
-  bool converged = run_phase(cfg.deadline_ms);
-  // Phase 2: data-plane lookups over the converged ring.
-  if (converged && cfg.lookups > 0) {
-    assign_lookups(cfg, make_lookup_targets(cfg, ids), raw);
-    converged = run_phase(now + cfg.deadline_ms);
+    now += kTickMs;
   }
-  // Phase 3: one router departs cleanly.
-  bool leave_completed = true;
-  if (wants_leave(cfg)) {
-    leave_completed = false;
-    if (converged) {
-      routers[static_cast<RouterId>(cfg.leave_router)]->begin_leave(now);
-      converged = run_phase(now + cfg.deadline_ms);
-      leave_completed =
-          routers[static_cast<RouterId>(cfg.leave_router)]->departed();
-    }
-  }
-
-  MeshResult result = make_result(cfg);
-  result.converged = converged;
-  result.leave_completed = leave_completed;
-  result.elapsed_ms = now;
-  maybe_debug_dump(converged, raw);
-  std::vector<std::pair<RouterId, Vnode>> collected;
-  for (RouterId r = 0; r < cfg.routers; ++r) {
-    routers[r]->finish(now);
-    merge_router(result, *routers[r]);
-    result.lookups_completed += routers[r]->lookups_completed();
-    result.lookups_hit += routers[r]->lookups_hit();
-    for (const auto& [id, v] : routers[r]->vnodes()) {
-      collected.emplace_back(r, v);
-    }
-  }
-  result.audit = audit_ring(collected, expected_owners(cfg, ids));
-  return result;
+  return false;
 }
 
-MeshResult run_mesh_udp(const MeshConfig& cfg) {
-  std::vector<std::unique_ptr<UdpTransport>> transports;
-  std::vector<std::unique_ptr<LiveRouter>> routers;
-  std::vector<LiveRouter*> raw;
-  for (RouterId r = 0; r < cfg.routers; ++r) {
-    transports.push_back(std::make_unique<UdpTransport>(r, /*port=*/0));
-    if (cfg.rate_pps > 0.0) transports.back()->set_rate_limit(cfg.rate_pps);
-    routers.push_back(
-        std::make_unique<LiveRouter>(router_config(cfg, r), transports[r].get()));
-    raw.push_back(routers.back().get());
+/// UDP phase: one event-loop thread per router on the wall clock, started
+/// fresh for each phase.  Between phases no router thread runs, so the driver
+/// can enqueue lookups or start the departure without racing router
+/// internals (which stay single-threaded); while threads are live it reads
+/// only the per-router quiet flags.
+bool step_threads(const std::vector<LiveRouter*>& routers, double budget_ms) {
+  std::atomic<bool> stop{false};
+  std::vector<std::atomic<bool>> quiet(routers.size());
+  std::vector<std::thread> threads;
+  threads.reserve(routers.size());
+  for (std::size_t r = 0; r < routers.size(); ++r) {
+    threads.emplace_back([&, r] {
+      LiveRouter& router = *routers[r];
+      while (!stop.load(std::memory_order_acquire)) {
+        router.step(UdpTransport::wall_ms());
+        quiet[r].store(router.quiescent(), std::memory_order_release);
+        std::this_thread::sleep_for(std::chrono::microseconds(
+            router.quiescent() ? 500 : 50));
+      }
+    });
   }
-  for (RouterId a = 0; a < cfg.routers; ++a) {
-    for (RouterId b = 0; b < cfg.routers; ++b) {
-      transports[a]->set_peer(b, transports[b]->port());
-    }
-  }
-  const std::vector<Identity> ids = make_identities(cfg.seed, cfg.hosts);
-  assign_hosts(cfg, ids, raw);
-
-  // One event-loop thread per router, started fresh for each phase: between
-  // phases no router thread runs, so the driver can enqueue lookups or start
-  // the departure without racing router internals (which stay
-  // single-threaded).  The driver only reads the per-router atomics while
-  // threads are live.
-  const auto run_phase = [&](double deadline_ms) {
-    std::atomic<bool> stop{false};
-    std::vector<std::unique_ptr<std::atomic<bool>>> quiet;
-    for (RouterId r = 0; r < cfg.routers; ++r) {
-      quiet.push_back(std::make_unique<std::atomic<bool>>(false));
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(cfg.routers);
-    for (RouterId r = 0; r < cfg.routers; ++r) {
-      threads.emplace_back([&, r] {
-        LiveRouter& router = *raw[r];
-        while (!stop.load(std::memory_order_acquire)) {
-          router.step(UdpTransport::wall_ms());
-          quiet[r]->store(router.quiescent(), std::memory_order_release);
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              router.quiescent() ? 500 : 50));
-        }
-      });
-    }
-    const double start = UdpTransport::wall_ms();
-    bool phase_converged = false;
-    while (UdpTransport::wall_ms() - start < deadline_ms) {
-      phase_converged =
-          std::all_of(quiet.begin(), quiet.end(), [](const auto& q) {
-            return q->load(std::memory_order_acquire);
-          });
-      if (phase_converged) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    stop.store(true, std::memory_order_release);
-    for (auto& t : threads) t.join();
-    return phase_converged;
-  };
-
   const double start = UdpTransport::wall_ms();
-  // Phase 1: the join storm.
-  bool converged = run_phase(cfg.deadline_ms);
-  // Phase 2: data-plane lookups over the converged ring.
-  if (converged && cfg.lookups > 0) {
-    assign_lookups(cfg, make_lookup_targets(cfg, ids), raw);
-    converged = run_phase(cfg.deadline_ms);
+  bool converged = false;
+  while (UdpTransport::wall_ms() - start < budget_ms) {
+    converged = std::all_of(quiet.begin(), quiet.end(), [](const auto& q) {
+      return q.load(std::memory_order_acquire);
+    });
+    if (converged) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  // Phase 3: one router departs cleanly.
-  bool leave_completed = true;
-  if (wants_leave(cfg)) {
-    leave_completed = false;
-    if (converged) {
-      LiveRouter& leaver = *raw[static_cast<RouterId>(cfg.leave_router)];
-      leaver.begin_leave(UdpTransport::wall_ms());
-      converged = run_phase(cfg.deadline_ms);
-      leave_completed = leaver.departed();
-    }
-  }
-  const double elapsed = UdpTransport::wall_ms() - start;
-  for (auto& t : transports) t->stop();
-
-  MeshResult result = make_result(cfg);
-  result.converged = converged;
-  result.leave_completed = leave_completed;
-  result.elapsed_ms = elapsed;
-  maybe_debug_dump(converged, raw);
-  std::vector<std::pair<RouterId, Vnode>> collected;
-  const double end_ms = UdpTransport::wall_ms();
-  for (RouterId r = 0; r < cfg.routers; ++r) {
-    routers[r]->finish(end_ms);
-    merge_router(result, *routers[r]);
-    result.lookups_completed += routers[r]->lookups_completed();
-    result.lookups_hit += routers[r]->lookups_hit();
-    for (const auto& [id, v] : routers[r]->vnodes()) {
-      collected.emplace_back(r, v);
-    }
-  }
-  result.audit = audit_ring(collected, expected_owners(cfg, ids));
-  return result;
+  stop.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  return converged;
 }
 
 // -- spawn mode serialization -------------------------------------------------
@@ -401,8 +286,75 @@ MeshAuditReport audit_ring(
 }
 
 MeshResult run_mesh(const MeshConfig& cfg) {
-  return cfg.backend == MeshBackend::kLoopback ? run_mesh_loopback(cfg)
-                                               : run_mesh_udp(cfg);
+  const bool loopback = cfg.backend == MeshBackend::kLoopback;
+  LoopbackHub hub;
+  std::vector<std::unique_ptr<Transport>> transports;
+  std::vector<UdpTransport*> udp;
+  std::vector<std::unique_ptr<LiveRouter>> routers;
+  std::vector<LiveRouter*> raw;
+  for (RouterId r = 0; r < cfg.routers; ++r) {
+    if (loopback) {
+      transports.push_back(std::make_unique<LoopbackTransport>(r, &hub));
+    } else {
+      auto t = std::make_unique<UdpTransport>(r, /*port=*/0);
+      udp.push_back(t.get());
+      transports.push_back(std::move(t));
+    }
+    if (cfg.rate_pps > 0.0) transports.back()->set_rate_limit(cfg.rate_pps);
+    routers.push_back(std::make_unique<LiveRouter>(router_config(cfg, r),
+                                                   transports.back().get()));
+    raw.push_back(routers.back().get());
+  }
+  for (UdpTransport* a : udp) {
+    for (RouterId b = 0; b < udp.size(); ++b) a->set_peer(b, udp[b]->port());
+  }
+  const std::vector<Identity> ids = make_identities(cfg.seed, cfg.hosts);
+  assign_hosts(cfg, ids, raw);
+
+  // The backend picks the clock and how a phase is stepped; the phase
+  // sequence below is shared.
+  double now = 0.0;  // loopback's virtual clock
+  const auto clock = [&] { return loopback ? now : UdpTransport::wall_ms(); };
+  const auto run_phase = [&] {
+    return loopback ? step_virtual(raw, now, cfg.deadline_ms)
+                    : step_threads(raw, cfg.deadline_ms);
+  };
+
+  const double start = clock();
+  // Phase 1: the join storm.
+  bool converged = run_phase();
+  // Phase 2: data-plane lookups over the converged ring.
+  if (converged && cfg.lookups > 0) {
+    assign_lookups(cfg, make_lookup_targets(cfg, ids), raw);
+    converged = run_phase();
+  }
+  // Phase 3: one router departs cleanly.
+  bool leave_completed = !wants_leave(cfg);
+  if (wants_leave(cfg) && converged) {
+    LiveRouter& leaver = *raw[static_cast<RouterId>(cfg.leave_router)];
+    leaver.begin_leave(clock());
+    converged = run_phase();
+    leave_completed = leaver.departed();
+  }
+  const double elapsed = clock() - start;
+  for (UdpTransport* t : udp) t->stop();
+
+  MeshResult result = make_result(cfg);
+  result.converged = converged;
+  result.leave_completed = leave_completed;
+  result.elapsed_ms = elapsed;
+  maybe_debug_dump(converged, raw);
+  std::vector<std::pair<RouterId, Vnode>> collected;
+  const double end = clock();
+  for (RouterId r = 0; r < cfg.routers; ++r) {
+    raw[r]->finish(end);
+    merge_router(result, *raw[r]);
+    result.lookups_completed += raw[r]->lookups_completed();
+    result.lookups_hit += raw[r]->lookups_hit();
+    for (const auto& [id, v] : raw[r]->vnodes()) collected.emplace_back(r, v);
+  }
+  result.audit = audit_ring(collected, expected_owners(cfg, ids));
+  return result;
 }
 
 // -- spawn mode ---------------------------------------------------------------

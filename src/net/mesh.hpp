@@ -106,7 +106,8 @@ MeshResult run_mesh(const MeshConfig& cfg);
 int run_mesh_spawn(const MeshConfig& cfg, const std::string& exe,
                    std::ostream& out);
 
-/// Spawn mode worker body for router `self`; returns a process exit code.
+/// Spawn mode worker body for router `self` (below `cfg.routers`); returns a
+/// process exit code.
 int run_mesh_worker(const MeshConfig& cfg, RouterId self);
 
 }  // namespace rofl::net

@@ -18,13 +18,7 @@ LiveRouter::LiveRouter(LiveRouterConfig cfg, Transport* transport)
   malformed_ = registry_.counter("net.rx.malformed");
   throttle_waits_ = registry_.counter("net.tx.throttle_waits");
 
-  proto::CoreConfig cc;
-  cc.self = cfg_.self;
-  cc.bootstrap = cfg_.bootstrap;
-  cc.fingers = cfg_.fingers;
-  cc.max_outstanding = cfg_.max_outstanding;
-  cc.retry = cfg_.retry;
-  core_.emplace(cc, static_cast<proto::Env&>(*this));
+  core_.emplace(cfg_, static_cast<proto::Env&>(*this));
 
   // Always constructed (registration order again); a no-fault plan makes
   // message_faults_enabled() false and the transport takes its fast path.
@@ -55,7 +49,7 @@ void LiveRouter::sample_transport_stats() {
   registry_.set_counter(rx_frames_, s.rx_frames);
   registry_.set_counter(rx_bytes_, s.rx_bytes);
   registry_.set_counter(dedup_dropped_, s.dedup_dropped);
-  registry_.set_counter(ring_dropped_, transport_->ring_dropped());
+  registry_.set_counter(ring_dropped_, s.ring_dropped);
   registry_.set_counter(malformed_, s.malformed);
   registry_.set_counter(throttle_waits_, s.throttle_waits);
 }

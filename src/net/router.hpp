@@ -13,7 +13,7 @@
 //   * pass the clock in: the loopback mesh steps on virtual milliseconds,
 //     the UDP mesh on wall milliseconds, and the core cannot tell the
 //     difference;
-//   * surface the transport pump's internals (dedup drops, RX-ring
+//   * surface the transport pump's internals (dedup drops, receive-queue
 //     overflow, token-bucket stalls...) as net.* counters in the registry,
 //     sampled every step so live timelines and metrics dumps see them while
 //     the run is still in flight, not only at finish();
@@ -45,13 +45,8 @@ namespace rofl::net {
 /// One ring-resident virtual node homed on this router (the core's own).
 using Vnode = proto::Vnode;
 
-struct LiveRouterConfig {
-  RouterId self = 0;
-  RouterId bootstrap = 0;          ///< where fresh locate walks start
-  std::uint32_t fingers = 256;     ///< CompactFingers per JoinRequest (6.3)
-  std::uint32_t max_outstanding = 8;  ///< concurrent joins per gateway
-  sim::RetryPolicy retry{/*max_attempts=*/10, /*timeout_ms=*/40.0,
-                         /*backoff=*/1.6, /*max_timeout_ms=*/500.0};
+/// The core's protocol settings plus what only the live driver needs.
+struct LiveRouterConfig : proto::CoreConfig {
   /// Netem-style impairment applied at this router's socket boundary.
   sim::NetworkConditions conditions;
   std::uint64_t fault_seed = 1;
@@ -91,9 +86,6 @@ class LiveRouter final : private proto::Env {
 
   [[nodiscard]] std::uint64_t joins_completed() const {
     return core_->joins_completed();
-  }
-  [[nodiscard]] std::uint64_t joins_queued_total() const {
-    return core_->joins_queued_total();
   }
   [[nodiscard]] std::uint64_t lookups_completed() const {
     return core_->lookups_completed();

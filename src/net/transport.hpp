@@ -9,9 +9,8 @@
 //     shared hub, the in-sim backend: single-threaded, deterministic, used by
 //     tests and the byte-accounting parity runs.
 //   * UdpTransport (udp.hpp) -- one real UDP socket per router on localhost,
-//     with a multi-threaded packet pump modelled on production high-rate
-//     probers (FlashRoute, PAPERS.md): a bounded token-bucket send rate and a
-//     dedicated RX thread feeding an SPSC ring into the event loop.
+//     sent to and drained from the router's own event-loop thread, with a
+//     bounded token-bucket send rate.
 //
 // Every datagram carries a 21-byte pump header ahead of the wire frame:
 //
@@ -86,16 +85,14 @@ struct RxFrame {
   std::vector<std::uint8_t> frame;  // wire frame for kData; op payload else
 };
 
-/// Pump counters.  Mutated only on the consumer/TX side (the router's event
-/// loop thread) except the rx_* ingest cells, which the UDP RX thread owns
-/// and the consumer reads after the pump has stopped.
+/// Pump counters, all mutated on the thread that drives the transport.
 struct TransportStats {
   std::uint64_t tx_frames = 0;     // datagrams actually handed to the wire
   std::uint64_t tx_bytes = 0;      // including pump headers
   std::uint64_t rx_frames = 0;     // delivered to poll() after dedup
   std::uint64_t rx_bytes = 0;
   std::uint64_t dedup_dropped = 0; // duplicate transmissions suppressed
-  std::uint64_t ring_dropped = 0;  // RX ring full (UDP backend only)
+  std::uint64_t ring_dropped = 0;  // receive queue full (kernel's count, UDP)
   std::uint64_t malformed = 0;     // short/bad-magic datagrams
   std::uint64_t throttle_waits = 0;  // token-bucket stalls on send
 };
@@ -305,9 +302,11 @@ class Transport {
   /// Next received frame, deduplicated; false when none pending.
   virtual bool poll(RxFrame& out) = 0;
 
-  /// Datagrams discarded because the backend's RX ring was full (UDP only;
-  /// stable once the pump has stopped).
-  [[nodiscard]] virtual std::uint64_t ring_dropped() const { return 0; }
+  /// Datagrams dropped because the receive queue was full.  Only the UDP
+  /// backend's kernel queue is bounded; loopback always reads 0.
+  [[nodiscard]] std::uint64_t ring_dropped() const {
+    return stats_.ring_dropped;
+  }
 
  protected:
   explicit Transport(RouterId self) : self_(self) {}

@@ -1,14 +1,15 @@
 #include "net/udp.hpp"
 
 #include <arpa/inet.h>
+#include <linux/sock_diag.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
+#include <span>
 #include <stdexcept>
+#include <thread>
 
 namespace rofl::net {
 
@@ -24,9 +25,8 @@ sockaddr_in localhost_addr(std::uint16_t port) {
 
 }  // namespace
 
-UdpTransport::UdpTransport(RouterId self, std::uint16_t port,
-                           std::size_t ring_capacity)
-    : Transport(self), ring_(ring_capacity) {
+UdpTransport::UdpTransport(RouterId self, std::uint16_t port)
+    : Transport(self) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw std::runtime_error("UdpTransport: socket() failed");
 
@@ -35,12 +35,6 @@ UdpTransport::UdpTransport(RouterId self, std::uint16_t port,
   int buf = 4 * 1024 * 1024;
   (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &buf, sizeof(buf));
   (void)::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &buf, sizeof(buf));
-
-  // Short receive timeout so the RX thread notices stop() promptly without
-  // needing a signal or a self-pipe.
-  timeval tv{};
-  tv.tv_usec = 100 * 1000;
-  (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 
   sockaddr_in addr = localhost_addr(port);
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
@@ -57,29 +51,19 @@ UdpTransport::UdpTransport(RouterId self, std::uint16_t port,
     throw std::runtime_error("UdpTransport: getsockname() failed");
   }
   port_ = ntohs(bound.sin_port);
-
-  running_.store(true, std::memory_order_release);
-  rx_thread_ = std::thread([this] { rx_loop(); });
 }
 
-UdpTransport::~UdpTransport() {
-  stop();
-  // Drain heap-allocated datagrams still sitting in the ring.
-  std::vector<std::uint8_t>* d = nullptr;
-  while (ring_.pop(d)) delete d;
-}
+UdpTransport::~UdpTransport() { stop(); }
 
 void UdpTransport::set_peer(RouterId id, std::uint16_t port) {
   peers_[id] = port;
 }
 
 void UdpTransport::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  if (rx_thread_.joinable()) rx_thread_.join();
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (fd_ < 0) return;
+  read_drops();
+  ::close(fd_);
+  fd_ = -1;
 }
 
 double UdpTransport::wall_ms() {
@@ -105,27 +89,28 @@ double UdpTransport::throttle_wait(double /*now_ms*/, double wait_ms) {
 }
 
 bool UdpTransport::poll(RxFrame& out) {
-  std::vector<std::uint8_t>* d = nullptr;
-  while (ring_.pop(d)) {
-    const bool deliver = ingest(*d, out);
-    delete d;
-    if (deliver) return true;
+  if (fd_ < 0) return false;
+  while (true) {
+    const ssize_t n =
+        ::recv(fd_, rx_buf_.data(), rx_buf_.size(), MSG_DONTWAIT);
+    if (n < 0) break;  // EAGAIN: the queue is empty
+    if (ingest(std::span(rx_buf_.data(), static_cast<std::size_t>(n)), out)) {
+      return true;
+    }
   }
+  read_drops();
   return false;
 }
 
-void UdpTransport::rx_loop() {
-  std::vector<std::uint8_t> buf(kMaxDatagram);
-  while (running_.load(std::memory_order_acquire)) {
-    const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), 0, nullptr,
-                                 nullptr);
-    if (n <= 0) continue;  // timeout or transient error: re-check running_
-    auto* d = new std::vector<std::uint8_t>(buf.begin(), buf.begin() + n);
-    if (!ring_.push(d)) {
-      // Ring full: to the protocol this is network loss; count and drop.
-      ring_dropped_.fetch_add(1, std::memory_order_relaxed);
-      delete d;
-    }
+void UdpTransport::read_drops() {
+  // SO_MEMINFO rather than SO_RXQ_OVFL: the latter rides only on datagrams
+  // queued after a drop, so a burst that overflows and is then drained
+  // would read zero.
+  std::uint32_t mem[SK_MEMINFO_VARS] = {};
+  socklen_t len = sizeof(mem);
+  if (::getsockopt(fd_, SOL_SOCKET, SO_MEMINFO, mem, &len) == 0 &&
+      len > SK_MEMINFO_DROPS * sizeof(std::uint32_t)) {
+    stats_.ring_dropped = mem[SK_MEMINFO_DROPS];
   }
 }
 

@@ -1,22 +1,19 @@
 // udp.hpp -- real-socket Transport backend (localhost UDP).
 //
-// One datagram socket per router, bound to 127.0.0.1.  The pump is split
-// across two threads the way high-rate measurement tools structure theirs
-// (FlashRoute et al., PAPERS.md):
+// One datagram socket per router, bound to 127.0.0.1, driven entirely from
+// the router's own event-loop thread:
 //
-//   * TX runs on the caller's event-loop thread: token-bucket rate limiting
-//     (sleeping out stalls in wall time), impairment draws, sendto().
-//   * RX is a dedicated thread parked in recvfrom() with a short timeout; it
-//     pushes raw datagrams into a bounded SPSC ring.  The event loop drains
-//     the ring via poll(), where header parsing and dedup happen -- so the
-//     RX thread does no work that could make it fall behind the socket.
+//   * TX: token-bucket rate limiting (sleeping out stalls in wall time),
+//     impairment draws, sendto().
+//   * RX: poll() drains the socket with non-blocking recv() into one reused
+//     buffer, then parses the pump header and dedups -- no second thread, no
+//     queue between the kernel and the protocol.
 //
-// The SPSC pairing is honored exactly as util/spsc_queue.hpp demands: the RX
-// thread is the only producer, the event-loop thread the only consumer, and
-// nobody else ever looks at the ring.  When the ring is full the RX thread
-// drops the datagram and counts it (ring_dropped, an atomic it owns); to the
-// protocol that is indistinguishable from network loss and the normal
-// retry/backoff machinery recovers.
+// The socket's receive queue is therefore the only RX buffer.  When a burst
+// overflows it the kernel drops the datagram; to the protocol that is network
+// loss and the normal retry/backoff machinery recovers.  The kernel's own
+// drop count (SO_MEMINFO) is read whenever poll() empties the queue and in
+// stop(), and reported as TransportStats::ring_dropped.
 //
 // Ports: bind with port 0 to let the kernel pick (tests), or a fixed port
 // (the spawn-mode mesh, where worker k derives its port from a shared base).
@@ -25,23 +22,19 @@
 // network address.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "net/transport.hpp"
-#include "util/spsc_queue.hpp"
 
 namespace rofl::net {
 
 class UdpTransport final : public Transport {
  public:
-  /// Binds 127.0.0.1:`port` (0 = kernel-assigned, see port()) and starts the
-  /// RX thread.  Throws std::runtime_error if the socket cannot be set up.
-  explicit UdpTransport(RouterId self, std::uint16_t port = 0,
-                        std::size_t ring_capacity = 8192);
+  /// Binds 127.0.0.1:`port` (0 = kernel-assigned, see port()).  Throws
+  /// std::runtime_error if the socket cannot be set up.
+  explicit UdpTransport(RouterId self, std::uint16_t port = 0);
   ~UdpTransport() override;
 
   /// The locally bound UDP port (resolved after a port-0 bind).
@@ -53,14 +46,8 @@ class UdpTransport final : public Transport {
 
   bool poll(RxFrame& out) override;
 
-  /// Datagrams the RX thread discarded because the ring was full.  Stable
-  /// only after stop() (the RX thread owns the cell while running).
-  [[nodiscard]] std::uint64_t ring_dropped() const override {
-    return ring_dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// Stops the RX thread and closes the socket.  Idempotent; the destructor
-  /// calls it.
+  /// Takes a last reading of the kernel's drop count and closes the socket;
+  /// poll() returns false from then on.  Idempotent; the destructor calls it.
   void stop();
 
   /// Monotonic wall clock in milliseconds, the `now_ms` timebase every
@@ -70,15 +57,13 @@ class UdpTransport final : public Transport {
  private:
   void raw_send(RouterId dst, std::vector<std::uint8_t> datagram) override;
   double throttle_wait(double now_ms, double wait_ms) override;
-  void rx_loop();
+  /// Copies the kernel's receive-queue drop count into stats_.ring_dropped.
+  void read_drops();
 
   int fd_ = -1;
   std::uint16_t port_ = 0;
   std::unordered_map<RouterId, std::uint16_t> peers_;
-  util::SpscQueue<std::vector<std::uint8_t>*> ring_;
-  std::atomic<std::uint64_t> ring_dropped_{0};
-  std::atomic<bool> running_{false};
-  std::thread rx_thread_;
+  std::vector<std::uint8_t> rx_buf_ = std::vector<std::uint8_t>(kMaxDatagram);
 };
 
 }  // namespace rofl::net

@@ -73,7 +73,6 @@ void Core::seed(const Identity& first) {
 
 void Core::enqueue_join(Identity ident) {
   queued_.push_back(std::move(ident));
-  ++joins_queued_total_;
 }
 
 void Core::enqueue_lookup(const NodeId& target) {

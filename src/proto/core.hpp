@@ -116,9 +116,6 @@ class Core {
   [[nodiscard]] std::uint64_t joins_completed() const {
     return joins_completed_;
   }
-  [[nodiscard]] std::uint64_t joins_queued_total() const {
-    return joins_queued_total_;
-  }
   [[nodiscard]] std::uint64_t lookups_completed() const {
     return lookups_completed_;
   }
@@ -228,7 +225,6 @@ class Core {
 
   std::uint64_t nonce_counter_ = 0;
   std::uint64_t joins_completed_ = 0;
-  std::uint64_t joins_queued_total_ = 0;
   std::uint64_t lookups_completed_ = 0;
   std::uint64_t lookups_hit_ = 0;
 

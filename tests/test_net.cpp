@@ -2,16 +2,18 @@
 //
 // Covers the src/net stack bottom-up: pump header codec, the dedup window,
 // loopback transport delivery, a real-socket UDP transport pair on ephemeral
-// ports, and full mesh runs -- a deterministic loopback storm whose byte
-// accounting must reproduce the simulator's section 6.3 figure (1638 bytes
-// per 256-finger JoinRequest), a two-router UDP mesh converging under heavy
-// impairment, and a negative audit check proving the auditor actually sees
-// defects.
+// ports (one thread, with receive-queue overflow counted), and full mesh
+// runs -- a deterministic loopback storm whose byte accounting must reproduce
+// the simulator's section 6.3 figure (1638 bytes per 256-finger
+// JoinRequest), a two-router UDP mesh converging under heavy impairment, and
+// a negative audit check proving the auditor actually sees defects.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "net/loopback.hpp"
@@ -175,6 +177,76 @@ TEST(Udp, PairExchangesFramesOnEphemeralPorts) {
   ASSERT_TRUE(got);
   EXPECT_EQ(rx.op, PumpOp::kDone);
   EXPECT_EQ(rx.arg, 3u);
+
+  // stop() closes the socket: a datagram still queued is never delivered,
+  // and the drop count keeps its last reading.
+  a.send(2, PumpOp::kData, 78, payload, UdpTransport::wall_ms());
+  const std::uint64_t dropped = b.ring_dropped();
+  b.stop();
+  EXPECT_FALSE(b.poll(rx));
+  EXPECT_EQ(b.ring_dropped(), dropped);
+}
+
+TEST(Udp, ReceiveQueueOverflowIsCounted) {
+  // The socket's receive queue is the only RX buffer.  A burst that
+  // overflows it is dropped by the kernel, and on localhost nothing else can
+  // lose a datagram: every transmission is either received or counted.
+  UdpTransport a(1, /*port=*/0);
+  UdpTransport b(2, /*port=*/0);
+  a.set_peer(2, b.port());
+  const std::vector<std::uint8_t> payload(1024, 0xAB);
+  constexpr std::uint64_t kSends = 20'000;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    a.send(2, PumpOp::kData, 0, payload, UdpTransport::wall_ms());
+  }
+  ASSERT_EQ(a.stats().tx_frames, kSends);
+  RxFrame rx;
+  const auto accounted = [&] {
+    return b.stats().rx_frames + b.ring_dropped();
+  };
+  for (int spin = 0; spin < 200 && accounted() < kSends; ++spin) {
+    while (b.poll(rx)) {
+    }
+    if (accounted() < kSends) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_GT(b.ring_dropped(), 0u);
+  EXPECT_GT(b.stats().rx_frames, 0u);
+  EXPECT_EQ(accounted(), kSends);
+}
+
+/// The `Threads:` count of this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(Udp, TransportStartsNoThread) {
+  // poll() reads the socket on the caller's thread, so a transport's whole
+  // life -- bind, send, receive, stop -- runs on the thread that drives it.
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  {
+    UdpTransport t(1, /*port=*/0);
+    t.set_peer(1, t.port());
+    const std::vector<std::uint8_t> payload = {1, 2, 3};
+    t.send(1, PumpOp::kData, 0, payload, UdpTransport::wall_ms());
+    RxFrame rx;
+    bool got = false;
+    for (int spin = 0; spin < 200 && !got; ++spin) {
+      got = t.poll(rx);
+      if (!got) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(got);
+    EXPECT_EQ(process_threads(), before);
+    t.stop();
+  }
+  EXPECT_EQ(process_threads(), before);
 }
 
 TEST(Mesh, LoopbackStormConvergesWithExactRing) {

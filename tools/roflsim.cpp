@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -34,6 +35,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -119,6 +121,27 @@ std::uint64_t positive_num_arg(const Args& a, const std::string& key,
   if (v == 0) {
     std::cerr << "--" << key << " must be a positive integer (got '"
               << it->second << "')\n\n";
+    usage();
+    std::exit(2);
+  }
+  return v;
+}
+
+/// Integer option confined to [lo, hi].  The raw string is parsed whole, so
+/// a sign, trailing junk, or a value past `hi` exits 2 with usage instead of
+/// wrapping through stoull ("-1" becomes 2^64-1) or truncating in the cast to
+/// a narrower field ("--base-port 70000" becomes port 4464).
+std::uint64_t ranged_num_arg(const Args& a, const std::string& key,
+                             std::uint64_t dflt, std::uint64_t lo,
+                             std::uint64_t hi) {
+  const auto it = a.kv.find(key);
+  if (it == a.kv.end()) return dflt;
+  const std::string& s = it->second;
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || v < lo || v > hi) {
+    std::cerr << "--" << key << " must be an integer in [" << lo << ", " << hi
+              << "] (got '" << s << "')\n\n";
     usage();
     std::exit(2);
   }
@@ -812,7 +835,17 @@ net::MeshConfig mesh_config_from_args(const Args& a) {
   cfg.max_outstanding =
       static_cast<std::uint32_t>(positive_num_arg(a, "outstanding", 8));
   cfg.base_port =
-      static_cast<std::uint16_t>(positive_num_arg(a, "base-port", 47'100));
+      static_cast<std::uint16_t>(ranged_num_arg(a, "base-port", 47'100, 1,
+                                                65'535));
+  // Spawn mode binds base+k for every worker k and base+routers for the
+  // driver; none of them may pass the last port.
+  if ((a.flag("spawn") || a.kv.contains("worker")) &&
+      cfg.base_port + std::uint64_t{cfg.routers} > 65'535) {
+    std::cerr << "--base-port " << cfg.base_port << " + --routers "
+              << cfg.routers << " passes port 65535 (spawn mode binds one "
+              << "port per router plus one for the driver)\n";
+    std::exit(2);
+  }
   if (!a.str("timeline", "").empty()) {
     cfg.timeline_window_ms = timeline_window_arg(a, 25.0);
   }
@@ -825,14 +858,14 @@ net::MeshConfig mesh_config_from_args(const Args& a) {
     std::cerr << "unknown --backend '" << backend << "' (udp|loopback)\n";
     std::exit(2);
   }
-  cfg.lookups = static_cast<std::uint32_t>(a.num("lookups", 0));
-  cfg.leave_router = static_cast<std::int32_t>(a.num("leave", -1));
-  if (cfg.leave_router >= 0 &&
-      (cfg.leave_router == 0 ||
-       static_cast<std::uint32_t>(cfg.leave_router) >= cfg.routers)) {
-    std::cerr << "--leave must name a non-bootstrap router in [1, "
-              << cfg.routers - 1 << "]\n";
-    std::exit(2);
+  cfg.lookups = static_cast<std::uint32_t>(ranged_num_arg(
+      a, "lookups", 0, 0, std::numeric_limits<std::uint32_t>::max()));
+  // The departing router is never the bootstrap.
+  if (a.kv.contains("leave")) {
+    cfg.leave_router = static_cast<std::int32_t>(ranged_num_arg(
+        a, "leave", 0, 1,
+        std::min<std::uint64_t>(cfg.routers - 1,
+                                std::numeric_limits<std::int32_t>::max())));
   }
   return cfg;
 }
@@ -854,7 +887,8 @@ int cmd_net(const Args& a, const char* argv0) {
   // exit; all reporting happens driver-side.
   if (a.kv.contains("worker")) {
     return net::run_mesh_worker(
-        cfg, static_cast<net::RouterId>(a.num("worker", 0)));
+        cfg, static_cast<net::RouterId>(
+                 ranged_num_arg(a, "worker", 0, 0, cfg.routers - 1)));
   }
 
   // Spawn-mode driver: fork one process per router over real UDP ports.
@@ -920,7 +954,7 @@ int cmd_net(const Args& a, const char* argv0) {
              static_cast<std::int64_t>(counter("net.redirects"))});
   t.add_row({std::string("frames dropped (impairment)"),
              static_cast<std::int64_t>(counter("faults.dropped"))});
-  t.add_row({std::string("dedup / ring drops"),
+  t.add_row({std::string("dedup / receive-queue drops"),
              std::to_string(counter("net.rx.dedup_dropped")) + " / " +
                  std::to_string(counter("net.rx.ring_dropped"))});
   t.add_row({std::string("audit"),
