@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "sim/faults.hpp"
+#include "wire/buffer.hpp"
 
 namespace rofl::net {
 
@@ -93,7 +94,7 @@ struct TransportStats {
   std::uint64_t rx_bytes = 0;
   std::uint64_t dedup_dropped = 0; // duplicate transmissions suppressed
   std::uint64_t ring_dropped = 0;  // receive queue full (kernel's count, UDP)
-  std::uint64_t malformed = 0;     // short/bad-magic datagrams
+  std::uint64_t malformed = 0;     // short/bad-magic/oversized datagrams
   std::uint64_t throttle_waits = 0;  // token-bucket stalls on send
 };
 
@@ -111,24 +112,22 @@ inline std::uint16_t pump_header_sum(std::span<const std::uint8_t> hdr) {
   return static_cast<std::uint16_t>(h);
 }
 
-/// Serializes the pump header in front of `frame`.
+/// Serializes the pump header in front of `frame`: one buffer sized for
+/// both, the header's fields stored as words, the frame copied in once.
 inline std::vector<std::uint8_t> encode_pump_frame(
     RouterId src, PumpOp op, std::uint64_t seq, std::uint32_t arg,
     std::span<const std::uint8_t> frame) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kPumpHeaderBytes + frame.size());
-  const auto be = [&out](std::uint64_t v, int bytes) {
-    for (int i = bytes - 1; i >= 0; --i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  be(kPumpMagic, 2);
-  out.push_back(static_cast<std::uint8_t>(op));
-  be(src, 4);
-  be(seq, 8);
-  be(arg, 4);
-  be(pump_header_sum(out), 2);
-  out.insert(out.end(), frame.begin(), frame.end());
+  std::vector<std::uint8_t> out(kPumpHeaderBytes + frame.size());
+  std::uint8_t* p = out.data();
+  wire::store_be16(p, kPumpMagic);
+  p[2] = static_cast<std::uint8_t>(op);
+  wire::store_be32(p + 3, src);
+  wire::store_be64(p + 7, seq);
+  wire::store_be32(p + 15, arg);
+  wire::store_be16(p + kPumpHeaderBytes - 2, pump_header_sum(out));
+  if (!frame.empty()) {
+    std::memcpy(p + kPumpHeaderBytes, frame.data(), frame.size());
+  }
   return out;
 }
 
@@ -143,22 +142,19 @@ struct PumpHeader {
 inline std::optional<PumpHeader> decode_pump_header(
     std::span<const std::uint8_t> datagram) {
   if (datagram.size() < kPumpHeaderBytes) return std::nullopt;
-  const auto be = [&datagram](std::size_t at, int bytes) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) v = (v << 8) | datagram[at + i];
-    return v;
-  };
-  if (be(0, 2) != kPumpMagic) return std::nullopt;
-  if (be(kPumpHeaderBytes - 2, 2) != pump_header_sum(datagram)) {
+  const std::uint8_t* p = datagram.data();
+  if (wire::load_be16(p) != kPumpMagic) return std::nullopt;
+  if (wire::load_be16(p + kPumpHeaderBytes - 2) !=
+      pump_header_sum(datagram)) {
     return std::nullopt;  // corrupted header: treat as loss, never dedup
   }
-  const std::uint8_t op = datagram[2];
+  const std::uint8_t op = p[2];
   if (op > static_cast<std::uint8_t>(PumpOp::kStateAck)) return std::nullopt;
   PumpHeader h;
   h.op = static_cast<PumpOp>(op);
-  h.src = static_cast<RouterId>(be(3, 4));
-  h.seq = be(7, 8);
-  h.arg = static_cast<std::uint32_t>(be(15, 4));
+  h.src = wire::load_be32(p + 3);
+  h.seq = wire::load_be64(p + 7);
+  h.arg = wire::load_be32(p + 15);
   return h;
 }
 

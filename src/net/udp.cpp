@@ -91,12 +91,19 @@ double UdpTransport::throttle_wait(double /*now_ms*/, double wait_ms) {
 bool UdpTransport::poll(RxFrame& out) {
   if (fd_ < 0) return false;
   while (true) {
-    const ssize_t n =
-        ::recv(fd_, rx_buf_.data(), rx_buf_.size(), MSG_DONTWAIT);
+    // With MSG_TRUNC, recv returns a datagram's full length even when only
+    // its first rx_buf_.size() bytes fit, so an oversized datagram is
+    // dropped and counted instead of handed on cut short, where it would
+    // fail its CRC as if the link had corrupted it.
+    const ssize_t n = ::recv(fd_, rx_buf_.data(), rx_buf_.size(),
+                             MSG_DONTWAIT | MSG_TRUNC);
     if (n < 0) break;  // EAGAIN: the queue is empty
-    if (ingest(std::span(rx_buf_.data(), static_cast<std::size_t>(n)), out)) {
-      return true;
+    const auto len = static_cast<std::size_t>(n);
+    if (len > rx_buf_.size()) {
+      ++stats_.malformed;
+      continue;
     }
+    if (ingest(std::span(rx_buf_.data(), len), out)) return true;
   }
   read_drops();
   return false;

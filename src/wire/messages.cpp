@@ -5,10 +5,14 @@
 namespace rofl::wire::msg {
 namespace {
 
+/// A CompactFinger on the wire: u32 ID prefix, u16 home AS.
+constexpr std::size_t kCompactFingerBytes = 6;
+
 // ---- per-type payload encoders ---------------------------------------------
 // Each writes only the payload bytes; the frame head and CRC trailer come
 // from write_frame_head / seal_frame.  All counts ride u16 fields and are
-// range-checked by the caller before these run.
+// range-checked by the caller before these run.  A repeated record takes
+// its whole block from one ByteWriter::append.
 
 void put(ByteWriter& w, const JoinRequest& m) {
   w.u64(m.nonce);
@@ -18,9 +22,11 @@ void put(ByteWriter& w, const JoinRequest& m) {
   w.bytes(std::span<const std::uint8_t>(m.public_key.data(),
                                         m.public_key.size()));
   w.u16(static_cast<std::uint16_t>(m.fingers.size()));
+  std::uint8_t* p = w.append(kCompactFingerBytes * m.fingers.size()).data();
   for (const CompactFinger& f : m.fingers) {
-    w.u32(f.target_prefix);
-    w.u16(f.home_as);
+    store_be32(p, f.target_prefix);
+    store_be16(p + 4, f.home_as);
+    p += kCompactFingerBytes;
   }
 }
 
@@ -28,12 +34,17 @@ void put(ByteWriter& w, const JoinReply& m) {
   write_node_id(w, m.predecessor);
   w.u32(m.predecessor_host);
   w.u16(static_cast<std::uint16_t>(m.successors.size()));
+  std::uint8_t* p = w.append(kFingerFieldBytes * m.successors.size()).data();
   for (const FingerField& s : m.successors) {
-    write_node_id(w, s.target);
-    w.u32(s.home_as);
+    store_finger(p, s);
+    p += kFingerFieldBytes;
   }
   w.u16(static_cast<std::uint16_t>(m.migrated_ephemerals.size()));
-  for (const NodeId& id : m.migrated_ephemerals) write_node_id(w, id);
+  p = w.append(kNodeIdBytes * m.migrated_ephemerals.size()).data();
+  for (const NodeId& id : m.migrated_ephemerals) {
+    store_node_id(p, id);
+    p += kNodeIdBytes;
+  }
 }
 
 void put(ByteWriter& w, const Locate& m) {
@@ -93,11 +104,13 @@ void put(ByteWriter& w, const RingMerge& m) {
 }
 
 // ---- per-type payload decoders ---------------------------------------------
-// Every field read is checked; decode_frame additionally requires the payload
-// to be fully consumed.
+// Each fills `m` in place (the variant alternative decode_frame emplaced) and
+// returns false on truncation; every field read is checked, and decode_frame
+// additionally requires the payload to be fully consumed.  A repeated
+// record's block is bounded once from its count (ByteReader::bytes refuses a
+// count the payload cannot hold), then read in a loop with no further checks.
 
-std::optional<ControlMessage> get_join_request(ByteReader& r) {
-  JoinRequest m;
+bool get(ByteReader& r, JoinRequest& m) {
   const auto nonce = r.u64();
   const auto gateway = r.u32();
   const auto host_class = r.u8();
@@ -105,123 +118,156 @@ std::optional<ControlMessage> get_join_request(ByteReader& r) {
   const auto key = r.bytes(m.public_key.size());
   const auto count = r.u16();
   if (!nonce || !gateway || !host_class || !strategy || !key || !count) {
-    return std::nullopt;
+    return false;
   }
+  const auto block = r.bytes(kCompactFingerBytes * *count);
+  if (!block) return false;
   m.nonce = *nonce;
   m.gateway = *gateway;
   m.host_class = *host_class;
   m.strategy = *strategy;
   std::copy(key->begin(), key->end(), m.public_key.begin());
-  m.fingers.reserve(*count);
-  for (std::uint16_t i = 0; i < *count; ++i) {
-    const auto prefix = r.u32();
-    const auto home = r.u16();
-    if (!prefix || !home) return std::nullopt;
-    m.fingers.push_back(CompactFinger{*prefix, *home});
+  m.fingers.resize(*count);
+  const std::uint8_t* p = block->data();
+  for (CompactFinger& f : m.fingers) {
+    f = CompactFinger{load_be32(p), load_be16(p + 4)};
+    p += kCompactFingerBytes;
   }
-  return m;
+  return true;
 }
 
-std::optional<ControlMessage> get_join_reply(ByteReader& r) {
-  JoinReply m;
+bool get(ByteReader& r, JoinReply& m) {
   const auto pred = read_node_id(r);
   const auto pred_host = r.u32();
   const auto nsucc = r.u16();
-  if (!pred || !pred_host || !nsucc) return std::nullopt;
+  if (!pred || !pred_host || !nsucc) return false;
+  const auto succ_block = r.bytes(kFingerFieldBytes * *nsucc);
+  if (!succ_block) return false;
+  const auto nmig = r.u16();
+  if (!nmig) return false;
+  const auto mig_block = r.bytes(kNodeIdBytes * *nmig);
+  if (!mig_block) return false;
   m.predecessor = *pred;
   m.predecessor_host = *pred_host;
-  m.successors.reserve(*nsucc);
-  for (std::uint16_t i = 0; i < *nsucc; ++i) {
-    const auto target = read_node_id(r);
-    const auto home = r.u32();
-    if (!target || !home) return std::nullopt;
-    m.successors.push_back(FingerField{*target, *home});
+  m.successors.resize(*nsucc);
+  const std::uint8_t* p = succ_block->data();
+  for (FingerField& s : m.successors) {
+    s = load_finger(p);
+    p += kFingerFieldBytes;
   }
-  const auto nmig = r.u16();
-  if (!nmig) return std::nullopt;
-  m.migrated_ephemerals.reserve(*nmig);
-  for (std::uint16_t i = 0; i < *nmig; ++i) {
-    const auto id = read_node_id(r);
-    if (!id) return std::nullopt;
-    m.migrated_ephemerals.push_back(*id);
+  m.migrated_ephemerals.resize(*nmig);
+  p = mig_block->data();
+  for (NodeId& id : m.migrated_ephemerals) {
+    id = load_node_id(p);
+    p += kNodeIdBytes;
   }
-  return m;
+  return true;
 }
 
-std::optional<ControlMessage> get_locate(ByteReader& r) {
+bool get(ByteReader& r, Locate& m) {
   const auto target = read_node_id(r);
   const auto purpose = r.u8();
-  if (!target || !purpose) return std::nullopt;
-  return Locate{*target, *purpose};
+  if (!target || !purpose) return false;
+  m = Locate{*target, *purpose};
+  return true;
 }
 
-std::optional<ControlMessage> get_pointer_install(ByteReader& r) {
+bool get(ByteReader& r, PointerInstall& m) {
   const auto subject = read_node_id(r);
   const auto neighbor = read_node_id(r);
   const auto host = r.u32();
   const auto op = r.u8();
-  if (!subject || !neighbor || !host || !op) return std::nullopt;
-  return PointerInstall{*subject, *neighbor, *host, *op};
+  if (!subject || !neighbor || !host || !op) return false;
+  m = PointerInstall{*subject, *neighbor, *host, *op};
+  return true;
 }
 
-std::optional<ControlMessage> get_teardown(ByteReader& r) {
+bool get(ByteReader& r, Teardown& m) {
   const auto id = read_node_id(r);
   const auto reason = r.u8();
-  if (!id || !reason) return std::nullopt;
-  return Teardown{*id, *reason};
+  if (!id || !reason) return false;
+  m = Teardown{*id, *reason};
+  return true;
 }
 
-std::optional<ControlMessage> get_repair(ByteReader& r) {
+bool get(ByteReader& r, Repair& m) {
   const auto subject = read_node_id(r);
   const auto neighbor = read_node_id(r);
   const auto host = r.u32();
   const auto op = r.u8();
-  if (!subject || !neighbor || !host || !op) return std::nullopt;
-  return Repair{*subject, *neighbor, *host, *op};
+  if (!subject || !neighbor || !host || !op) return false;
+  m = Repair{*subject, *neighbor, *host, *op};
+  return true;
 }
 
-std::optional<ControlMessage> get_keepalive(ByteReader& r) {
+bool get(ByteReader& r, Keepalive& m) {
   const auto seq = r.u64();
-  if (!seq) return std::nullopt;
-  return Keepalive{*seq};
+  if (!seq) return false;
+  m = Keepalive{*seq};
+  return true;
 }
 
-std::optional<ControlMessage> get_lsa(ByteReader& r) {
+bool get(ByteReader& r, Lsa& m) {
   const auto origin = r.u32();
   const auto version = r.u64();
   const auto event = r.u8();
   const auto a = r.u32();
   const auto b = r.u32();
-  if (!origin || !version || !event || !a || !b) return std::nullopt;
-  return Lsa{*origin, *version, *event, *a, *b};
+  if (!origin || !version || !event || !a || !b) return false;
+  m = Lsa{*origin, *version, *event, *a, *b};
+  return true;
 }
 
-std::optional<ControlMessage> get_ring_merge(ByteReader& r) {
+bool get(ByteReader& r, RingMerge& m) {
   const auto id = read_node_id(r);
   const auto home = r.u32();
   const auto anchor = r.u32();
   const auto level = r.u16();
   const auto op = r.u8();
-  if (!id || !home || !anchor || !level || !op) return std::nullopt;
-  return RingMerge{*id, *home, *anchor, *level, *op};
+  if (!id || !home || !anchor || !level || !op) return false;
+  m = RingMerge{*id, *home, *anchor, *level, *op};
+  return true;
 }
 
-std::optional<ControlMessage> get_label_install(ByteReader& r) {
+bool get(ByteReader& r, LabelInstall& m) {
   const auto dest = read_node_id(r);
   const auto label = r.u32();
   const auto next_label = r.u32();
   const auto out = r.u32();
   const auto op = r.u8();
-  if (!dest || !label || !next_label || !out || !op) return std::nullopt;
-  return LabelInstall{*dest, *label, *next_label, *out, *op};
+  if (!dest || !label || !next_label || !out || !op) return false;
+  m = LabelInstall{*dest, *label, *next_label, *out, *op};
+  return true;
 }
 
-std::optional<ControlMessage> get_label_teardown(ByteReader& r) {
+bool get(ByteReader& r, LabelTeardown& m) {
   const auto dest = read_node_id(r);
   const auto label = r.u32();
   const auto reason = r.u8();
-  if (!dest || !label || !reason) return std::nullopt;
-  return LabelTeardown{*dest, *label, *reason};
+  if (!dest || !label || !reason) return false;
+  m = LabelTeardown{*dest, *label, *reason};
+  return true;
+}
+
+/// Decodes a `type` frame's payload into `m`; false on truncation or for a
+/// type with no control codec.
+bool get_payload(ByteReader& r, PacketType type, ControlMessage& m) {
+  switch (type) {
+    case PacketType::kJoinRequest: return get(r, m.emplace<JoinRequest>());
+    case PacketType::kJoinReply: return get(r, m.emplace<JoinReply>());
+    case PacketType::kLocate: return get(r, m.emplace<Locate>());
+    case PacketType::kPointerInstall:
+      return get(r, m.emplace<PointerInstall>());
+    case PacketType::kTeardown: return get(r, m.emplace<Teardown>());
+    case PacketType::kRepair: return get(r, m.emplace<Repair>());
+    case PacketType::kKeepalive: return get(r, m.emplace<Keepalive>());
+    case PacketType::kLsa: return get(r, m.emplace<Lsa>());
+    case PacketType::kRingMerge: return get(r, m.emplace<RingMerge>());
+    case PacketType::kLabelInstall: return get(r, m.emplace<LabelInstall>());
+    case PacketType::kLabelTeardown:
+      return get(r, m.emplace<LabelTeardown>());
+    default: return false;  // kData / kCapabilityGrant carry no codec
+  }
 }
 
 bool counts_fit(const ControlMessage& m) {
@@ -238,11 +284,11 @@ bool counts_fit(const ControlMessage& m) {
 std::size_t payload_size(const ControlMessage& m) {
   struct Sizer {
     std::size_t operator()(const JoinRequest& x) const {
-      return 8 + 4 + 1 + 1 + 32 + 2 + 6 * x.fingers.size();
+      return 8 + 4 + 1 + 1 + 32 + 2 + kCompactFingerBytes * x.fingers.size();
     }
     std::size_t operator()(const JoinReply& x) const {
-      return 16 + 4 + 2 + 20 * x.successors.size() + 2 +
-             16 * x.migrated_ephemerals.size();
+      return 16 + 4 + 2 + kFingerFieldBytes * x.successors.size() + 2 +
+             kNodeIdBytes * x.migrated_ephemerals.size();
     }
     std::size_t operator()(const Locate&) const { return 17; }
     std::size_t operator()(const PointerInstall&) const { return 37; }
@@ -311,26 +357,18 @@ std::vector<std::uint8_t> encode_control(const ControlMessage& m,
 }
 
 std::optional<Frame> decode_frame(std::span<const std::uint8_t> frame) {
+  // Every path returns `out`, so the message is decoded in the caller's
+  // storage.
+  std::optional<Frame> out;
   const auto f = parse_frame(frame);
-  if (!f.has_value()) return std::nullopt;
+  if (!f.has_value()) return out;
+  Frame& decoded = out.emplace();
+  decoded.header = f->header;
   ByteReader r(f->payload);
-  std::optional<ControlMessage> m;
-  switch (f->header.type) {
-    case PacketType::kJoinRequest: m = get_join_request(r); break;
-    case PacketType::kJoinReply: m = get_join_reply(r); break;
-    case PacketType::kLocate: m = get_locate(r); break;
-    case PacketType::kPointerInstall: m = get_pointer_install(r); break;
-    case PacketType::kTeardown: m = get_teardown(r); break;
-    case PacketType::kRepair: m = get_repair(r); break;
-    case PacketType::kKeepalive: m = get_keepalive(r); break;
-    case PacketType::kLsa: m = get_lsa(r); break;
-    case PacketType::kRingMerge: m = get_ring_merge(r); break;
-    case PacketType::kLabelInstall: m = get_label_install(r); break;
-    case PacketType::kLabelTeardown: m = get_label_teardown(r); break;
-    default: return std::nullopt;  // kData / kCapabilityGrant carry no codec
+  if (!get_payload(r, f->header.type, decoded.message) || !r.exhausted()) {
+    out.reset();
   }
-  if (!m.has_value() || !r.exhausted()) return std::nullopt;
-  return Frame{f->header, std::move(*m)};
+  return out;
 }
 
 std::optional<ControlMessage> decode_control(

@@ -132,7 +132,7 @@ struct FrameView {
   Header header;
   std::span<const std::uint8_t> as_path;  ///< 4 bytes per AS
   std::optional<CapabilityField> capability;
-  std::span<const std::uint8_t> fingers;  ///< 20 bytes per FingerField
+  std::span<const std::uint8_t> fingers;  ///< kFingerFieldBytes per finger
   std::span<const std::uint8_t> payload;
 };
 
@@ -154,11 +154,38 @@ void seal_frame(ByteWriter& w);
 
 /// The frame trailer's CRC-32: IEEE 802.3, reflected polynomial 0xEDB88320,
 /// initial value and final XOR 0xFFFFFFFF (check value: "123456789" ->
-/// 0xCBF43926).  Slicing-by-8 over compile-time tables.
+/// 0xCBF43926).  One checksum, two implementations chosen once per process
+/// by CPU: on x86 with PCLMULQDQ and SSE4.1, inputs of 64 bytes or more fold
+/// by carry-less multiply; everything else runs crc32_table.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
+
+/// The same CRC-32 by slicing-by-8 over compile-time tables: crc32's path for
+/// short inputs and CPUs without carry-less multiply, and its reference.
+[[nodiscard]] std::uint32_t crc32_table(std::span<const std::uint8_t> data);
 
 /// Serializes a NodeId (16 bytes, big-endian).
 void write_node_id(ByteWriter& w, const NodeId& id);
 [[nodiscard]] std::optional<NodeId> read_node_id(ByteReader& r);
+
+/// Fixed-size records at a raw position the caller has already bounded
+/// (ByteWriter::append, ByteReader::bytes): the per-record bodies of the
+/// bulk loops over finger tables, successor lists and migrated IDs.
+inline constexpr std::size_t kNodeIdBytes = 16;
+inline constexpr std::size_t kFingerFieldBytes = kNodeIdBytes + 4;
+
+inline void store_node_id(std::uint8_t* p, const NodeId& id) {
+  store_be64(p, id.hi());
+  store_be64(p + 8, id.lo());
+}
+[[nodiscard]] inline NodeId load_node_id(const std::uint8_t* p) {
+  return NodeId{load_be64(p), load_be64(p + 8)};
+}
+inline void store_finger(std::uint8_t* p, const FingerField& f) {
+  store_node_id(p, f.target);
+  store_be32(p + kNodeIdBytes, f.home_as);
+}
+[[nodiscard]] inline FingerField load_finger(const std::uint8_t* p) {
+  return FingerField{load_node_id(p), load_be32(p + kNodeIdBytes)};
+}
 
 }  // namespace rofl::wire

@@ -2,11 +2,12 @@
 //
 // Covers the src/net stack bottom-up: pump header codec, the dedup window,
 // loopback transport delivery, a real-socket UDP transport pair on ephemeral
-// ports (one thread, with receive-queue overflow counted), and full mesh
-// runs -- a deterministic loopback storm whose byte accounting must reproduce
-// the simulator's section 6.3 figure (1638 bytes per 256-finger
-// JoinRequest), a two-router UDP mesh converging under heavy impairment, and
-// a negative audit check proving the auditor actually sees defects.
+// ports (one thread, with receive-queue overflow and oversized datagrams
+// counted), and full mesh runs -- a deterministic loopback storm whose byte
+// accounting must reproduce the simulator's section 6.3 figure (1638 bytes
+// per 256-finger JoinRequest), a two-router UDP mesh converging under heavy
+// impairment, and a negative audit check proving the auditor actually sees
+// defects.
 
 #include <gtest/gtest.h>
 
@@ -214,6 +215,39 @@ TEST(Udp, ReceiveQueueOverflowIsCounted) {
   EXPECT_GT(b.ring_dropped(), 0u);
   EXPECT_GT(b.stats().rx_frames, 0u);
   EXPECT_EQ(accounted(), kSends);
+}
+
+TEST(Udp, OversizedDatagramCountedAsMalformed) {
+  // A datagram longer than the receive buffer used to be read cut short and
+  // handed on as a frame (which then failed its CRC); it is dropped whole and
+  // counted as malformed, and the link keeps working.
+  UdpTransport a(1, /*port=*/0);
+  UdpTransport b(2, /*port=*/0);
+  a.set_peer(2, b.port());
+  const std::vector<std::uint8_t> oversized(5000, 0xAB);
+  ASSERT_GT(kPumpHeaderBytes + oversized.size(), kMaxDatagram);
+  a.send(2, PumpOp::kData, 0, oversized, UdpTransport::wall_ms());
+  RxFrame rx;
+  for (int spin = 0; spin < 200 && b.stats().malformed == 0; ++spin) {
+    ASSERT_FALSE(b.poll(rx)) << "a cut datagram was delivered";
+    if (b.stats().malformed == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_EQ(b.stats().malformed, 1u);
+  EXPECT_EQ(b.stats().rx_frames, 0u);
+
+  const std::vector<std::uint8_t> payload = {1, 2, 3};
+  a.send(2, PumpOp::kData, 9, payload, UdpTransport::wall_ms());
+  bool got = false;
+  for (int spin = 0; spin < 200 && !got; ++spin) {
+    got = b.poll(rx);
+    if (!got) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(got) << "the frame after the oversized one never arrived";
+  EXPECT_EQ(rx.arg, 9u);
+  EXPECT_EQ(rx.frame, payload);
+  EXPECT_EQ(b.stats().malformed, 1u);
 }
 
 /// The `Threads:` count of this process, from /proc/self/status.

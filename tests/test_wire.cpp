@@ -315,17 +315,23 @@ TEST(Packet, FragmentsRejectsMtuBelowFramingOverhead) {
   EXPECT_GT(p.fragments(kFrameOverhead + 1), 0u);
 }
 
-/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the reference the
-/// table-driven wire::crc32 must reproduce exactly.
-std::uint32_t bitwise_crc32(std::span<const std::uint8_t> data) {
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320) of every prefix of `data`:
+/// element n is the CRC of the first n bytes.  The reference both wire::crc32
+/// paths must reproduce exactly.
+std::vector<std::uint32_t> bitwise_crc32_prefixes(
+    std::span<const std::uint8_t> data) {
+  std::vector<std::uint32_t> out;
+  out.reserve(data.size() + 1);
   std::uint32_t crc = 0xFFFFFFFFu;
+  out.push_back(~crc);
   for (const std::uint8_t byte : data) {
     crc ^= byte;
     for (int k = 0; k < 8; ++k) {
       crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
     }
+    out.push_back(~crc);
   }
-  return ~crc;
+  return out;
 }
 
 TEST(Crc32, CheckValue) {
@@ -334,25 +340,34 @@ TEST(Crc32, CheckValue) {
   const std::span<const std::uint8_t> bytes(
       reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
   EXPECT_EQ(crc32(bytes), 0xCBF43926u);
-  EXPECT_EQ(bitwise_crc32(bytes), 0xCBF43926u);
+  EXPECT_EQ(crc32_table(bytes), 0xCBF43926u);
+  EXPECT_EQ(bitwise_crc32_prefixes(bytes).back(), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0u);
+  EXPECT_EQ(crc32_table({}), 0u);
 }
 
 TEST(Crc32, TableMatchesBitwiseReference) {
-  // Every length 0-64 (each tail length of the 8-byte stride, several times
-  // over) plus random lengths up to 2048, each at start offsets 0-7 so the
-  // unaligned loads are covered.
+  // Both implementations against the bitwise reference: every length
+  // 0-4096 (each tail under the 8-byte stride and the 16-byte fold, and
+  // each 64-byte fold boundary, many times over) plus 64 random lengths up
+  // to 64 KiB, each at start offsets 0-15 so every load alignment is
+  // covered.
+  constexpr std::size_t kMaxLen = 64 * 1024;
+  constexpr std::size_t kOffsets = 16;
   Rng rng(0xC3C3);
-  std::vector<std::uint8_t> buf(2048 + 8);
+  std::vector<std::uint8_t> buf(kMaxLen + kOffsets);
   for (auto& b : buf) b = static_cast<std::uint8_t>(rng.below(256));
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
-  for (int k = 0; k < 64; ++k) lengths.push_back(rng.index(2049));
-  for (const std::size_t n : lengths) {
-    for (std::size_t off = 0; off < 8; ++off) {
-      const std::span<const std::uint8_t> s(buf.data() + off, n);
-      ASSERT_EQ(crc32(s), bitwise_crc32(s)) << "length " << n << " offset "
-                                            << off;
+  for (std::size_t n = 0; n <= 4096; ++n) lengths.push_back(n);
+  for (int k = 0; k < 64; ++k) lengths.push_back(rng.index(kMaxLen + 1));
+  for (std::size_t off = 0; off < kOffsets; ++off) {
+    const std::span<const std::uint8_t> from(buf.data() + off, kMaxLen);
+    const std::vector<std::uint32_t> ref = bitwise_crc32_prefixes(from);
+    for (const std::size_t n : lengths) {
+      const std::span<const std::uint8_t> s = from.first(n);
+      ASSERT_EQ(crc32(s), ref[n]) << "length " << n << " offset " << off;
+      ASSERT_EQ(crc32_table(s), ref[n])
+          << "length " << n << " offset " << off;
     }
   }
 }

@@ -279,6 +279,68 @@ TEST(ControlMessages, TruncationAlwaysRejected) {
   }
 }
 
+TEST(ControlMessages, CountOverrunRejectedBehindValidCrc) {
+  // A cut frame fails its CRC before any record is read.  Here a repeated
+  // record's u16 count is raised by one and the trailer re-sealed, so the
+  // frame claims one record more than it holds and only the record bounds
+  // stand between the decoder and a read past the buffer.
+  const auto recount = [](std::vector<std::uint8_t> frame, std::size_t at,
+                          std::uint16_t extra) {
+    const auto count = load_be16(frame.data() + at);
+    store_be16(frame.data() + at, static_cast<std::uint16_t>(count + extra));
+    const std::size_t body = frame.size() - 4;
+    store_be32(frame.data() + body, crc32({frame.data(), body}));
+    return frame;
+  };
+  // Every frame opens with 44 fixed bytes, then the u16 count of AS-path
+  // entries, the header fingers' u16 count and the u16 payload length; with
+  // neither section present a control payload starts at byte 50.
+  constexpr std::size_t kPayload = 50;
+  struct Case {
+    const char* what;
+    std::vector<std::uint8_t> frame;
+    std::size_t count_at;
+    std::uint16_t count;
+    bool control;  // decoded by decode_frame, else by Packet::decode
+  };
+  Rng rng(404);
+  std::vector<Case> cases;
+
+  JoinRequest jr;
+  jr.fingers.resize(3);
+  cases.push_back({"JoinRequest fingers",
+                   encode_control(jr, random_id(rng), random_id(rng)),
+                   kPayload + 8 + 4 + 1 + 1 + 32, 3, true});
+  // Two successors and nothing after them but the ephemeral count.
+  JoinReply reply;
+  reply.successors.resize(2);
+  cases.push_back({"JoinReply successors",
+                   encode_control(reply, random_id(rng), random_id(rng)),
+                   kPayload + 16 + 4, 2, true});
+  reply.migrated_ephemerals.resize(2);
+  cases.push_back({"JoinReply ephemerals",
+                   encode_control(reply, random_id(rng), random_id(rng)),
+                   kPayload + 16 + 4 + 2 + 2 * 20, 2, true});
+  // Packet-level records, followed by nothing but the 2-byte counts.
+  Packet p;
+  p.as_path = {7, 42, 99};
+  cases.push_back({"Packet AS path", p.encode(), 44, 3, false});
+  p.fingers.resize(2);
+  cases.push_back({"Packet fingers", p.encode(), 46 + 3 * 4, 2, false});
+
+  const auto decodes = [](const Case& c, std::span<const std::uint8_t> f) {
+    return c.control ? decode_frame(f).has_value()
+                     : Packet::decode(f).has_value();
+  };
+  for (const Case& c : cases) {
+    ASSERT_EQ(load_be16(c.frame.data() + c.count_at), c.count) << c.what;
+    // Re-sealing alone keeps the frame valid, so the rejection below is the
+    // count's doing.
+    EXPECT_TRUE(decodes(c, recount(c.frame, c.count_at, 0))) << c.what;
+    EXPECT_FALSE(decodes(c, recount(c.frame, c.count_at, 1))) << c.what;
+  }
+}
+
 TEST(ControlMessages, SingleBitFlipAlwaysRejected) {
   // CRC-32 detects every single-bit error; a flipped frame must never decode
   // into a silently different message.

@@ -816,6 +816,18 @@ int cmd_audit(const Args& a) {
 
 // -- `roflsim net` live-mesh mode -------------------------------------------
 
+/// Largest --fingers whose JoinRequest fits one pump datagram, header
+/// included.  UdpTransport drops any datagram over kMaxDatagram, so a larger
+/// JoinRequest is never delivered and the mesh would wedge; the bound holds
+/// on every backend so a mesh configuration behaves the same on each.
+std::uint64_t max_mesh_fingers() {
+  wire::msg::JoinRequest jr;
+  const std::size_t fixed = wire::msg::control_wire_size(jr);
+  jr.fingers.resize(1);
+  const std::size_t per_finger = wire::msg::control_wire_size(jr) - fixed;
+  return (net::kMaxDatagram - net::kPumpHeaderBytes - fixed) / per_finger;
+}
+
 /// Builds the MeshConfig shared by driver, in-process runs, and spawn-mode
 /// workers; every numeric knob is validated here so a worker re-invoked with
 /// driver-generated flags takes the same path as a hand-typed run.
@@ -823,7 +835,8 @@ net::MeshConfig mesh_config_from_args(const Args& a) {
   net::MeshConfig cfg;
   cfg.routers = static_cast<std::uint32_t>(positive_num_arg(a, "routers", 8));
   cfg.hosts = static_cast<std::uint32_t>(positive_num_arg(a, "hosts", 400));
-  cfg.fingers = static_cast<std::uint32_t>(positive_num_arg(a, "fingers", 256));
+  cfg.fingers = static_cast<std::uint32_t>(
+      ranged_num_arg(a, "fingers", 256, 1, max_mesh_fingers()));
   cfg.seed = a.num("seed", 1);
   cfg.conditions.loss = rate_arg(a, "loss", 0.0);
   cfg.conditions.duplicate = rate_arg(a, "dup", 0.0);
@@ -1273,6 +1286,7 @@ void usage() {
       "mesh single-threaded on a virtual clock (deterministic); with 256\n"
       "fingers and no impairment the run enforces the section 6.3 parity\n"
       "gate: every JoinRequest costs exactly 1638 bytes on the wire.\n"
+      "--fingers is capped so that every JoinRequest fits one datagram.\n"
       "`shard` runs the per-AS scale model on the sharded parallel simulator;\n"
       "its metrics, flight digest, audit digest, and --timeline file are\n"
       "bit-identical for every --shards value of the same seed (--profile\n"
