@@ -1,7 +1,5 @@
 #include "ext/anycast.hpp"
 
-#include <algorithm>
-
 namespace rofl::ext {
 
 intra::JoinStats anycast_join(intra::Network& net, const GroupId& g,
@@ -53,19 +51,15 @@ AnycastResult anycast_route(intra::Network& net, graph::NodeIndex src,
     }
     // Greedy toward (G, r): routers treat all suffixes of G equally, so a
     // candidate inside the group counts as an exact hit to chase.
-    std::vector<intra::Candidate> cands;
-    if (auto c = r.vn_best_match(steer)) cands.push_back(*c);
-    if (const intra::CacheEntry* e = r.cache().best_match(steer)) {
-      if (net.map().route_valid(e->path)) {
-        cands.push_back(intra::Candidate{e->id, e->host, false});
-      }
+    const std::optional<intra::Candidate> vn = r.vn_best_match(steer);
+    std::optional<intra::Candidate> cached;
+    if (const intra::CacheEntry* e = r.cache().best_match(steer);
+        e != nullptr && net.map().route_valid(e->path, e->route_up_at)) {
+      cached = intra::Candidate{e->id, e->host, false};
     }
-    std::sort(cands.begin(), cands.end(),
-              [&](const intra::Candidate& a, const intra::Candidate& b) {
-                return NodeId::closer_to(steer, a.id, b.id);
-              });
     bool switched = false;
-    for (const intra::Candidate& c : cands) {
+    for (const auto& [c, from_cache] :
+         intra::CandidatePair(steer, vn, cached)) {
       const NodeId d = NodeId::distance_cw(c.id, steer);
       if (d < committed) {
         chasing = c;

@@ -61,12 +61,14 @@ ShortestPaths Graph::dijkstra(NodeIndex src) const {
   sp.latency_ms.assign(adj_.size(), kInf);
   sp.parent.assign(adj_.size(), kInvalidNode);
   sp.hops.assign(adj_.size(), 0);
+  sp.first_hop.assign(adj_.size(), kInvalidNode);
   if (!node_up_[src]) return sp;
 
   using Item = std::pair<double, NodeIndex>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   sp.dist[src] = 0.0;
   sp.latency_ms[src] = 0.0;
+  sp.first_hop[src] = src;
   pq.emplace(0.0, src);
   while (!pq.empty()) {
     const auto [d, u] = pq.top();
@@ -80,6 +82,8 @@ ShortestPaths Graph::dijkstra(NodeIndex src) const {
         sp.latency_ms[e.to] = sp.latency_ms[u] + e.latency_ms;
         sp.parent[e.to] = u;
         sp.hops[e.to] = sp.hops[u] + 1;
+        // A settled node's first hop is final, so the child inherits it.
+        sp.first_hop[e.to] = u == src ? e.to : sp.first_hop[u];
         pq.emplace(nd, e.to);
       }
     }
@@ -91,6 +95,7 @@ std::vector<NodeIndex> Graph::extract_path(const ShortestPaths& sp,
                                            NodeIndex src, NodeIndex dst) {
   std::vector<NodeIndex> path;
   if (!sp.reachable(dst)) return path;
+  path.reserve(sp.hops[dst] + 1);
   for (NodeIndex v = dst; v != kInvalidNode; v = sp.parent[v]) {
     path.push_back(v);
     if (v == src) break;

@@ -30,6 +30,10 @@ struct ShortestPaths {
   std::vector<double> latency_ms;  // summed latency along chosen path
   std::vector<NodeIndex> parent;   // predecessor on the shortest-path tree
   std::vector<std::uint32_t> hops; // hop count along chosen path
+  /// First hop out of the source on the chosen path: the next-hop table an
+  /// OSPF router installs.  The source maps to itself; an unreachable node
+  /// maps to kInvalidNode.
+  std::vector<NodeIndex> first_hop;
 
   [[nodiscard]] bool reachable(NodeIndex v) const {
     return dist[v] != std::numeric_limits<double>::infinity();

@@ -100,9 +100,9 @@ void LinkStateMap::recompute_all_spf() const {
 
 std::optional<NodeIndex> LinkStateMap::next_hop(NodeIndex u, NodeIndex v) const {
   if (u == v) return u;
-  const auto p = path(u, v);
-  if (p.size() < 2) return std::nullopt;
-  return p[1];
+  const NodeIndex hop = spf(u).first_hop[v];
+  if (hop == graph::kInvalidNode) return std::nullopt;
+  return hop;
 }
 
 std::vector<NodeIndex> LinkStateMap::path(NodeIndex u, NodeIndex v) const {
@@ -132,6 +132,14 @@ bool LinkStateMap::route_valid(const std::vector<NodeIndex>& route) const {
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
     if (!graph_->link_up(route[i], route[i + 1])) return false;
   }
+  return true;
+}
+
+bool LinkStateMap::route_valid(const std::vector<NodeIndex>& route,
+                               std::uint64_t& stamp) const {
+  if (stamp == version_) return true;
+  if (!route_valid(route)) return false;
+  stamp = version_;
   return true;
 }
 

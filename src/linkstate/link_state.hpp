@@ -7,8 +7,14 @@
 // that substrate over a graph::Graph:
 //
 //   * every router shares a consistent link-state database (the graph);
-//   * shortest paths / next hops are computed on demand and cached, with the
-//     cache invalidated whenever the topology version changes;
+//   * shortest paths are computed on demand and cached, with the cache
+//     invalidated whenever the topology version changes.  Each cached SPF
+//     run carries its first-hop table, so next_hop is one array load, as a
+//     router's forwarding table lookup is;
+//   * the version is the one rule the caches rest on: every graph mutation
+//     goes through fail_* / restore_* here and bumps it.  The SPF cache keys
+//     on it, and so does the stamped route_valid that pointer caches use to
+//     skip re-walking a source route the topology has not touched;
 //   * fail/restore operations flood LSAs (accounted as kLinkState messages,
 //     one per live directed edge, as OSPF flooding would) and synchronously
 //     notify subscribed listeners -- the hook the ROFL failure machinery
@@ -62,6 +68,13 @@ class LinkStateMap {
 
   /// True if a router-level source route is currently fully up.
   [[nodiscard]] bool route_valid(const std::vector<NodeIndex>& route) const;
+  /// The same answer, walking the route only when the topology has changed
+  /// since it was last found up.  `stamp` is the caller's memo for this
+  /// route: the version() of that last successful walk, 0 for never.  Every
+  /// graph mutation goes through this map and bumps version(), so a route
+  /// that was up at the current version is still up.
+  [[nodiscard]] bool route_valid(const std::vector<NodeIndex>& route,
+                                 std::uint64_t& stamp) const;
 
   // -- failure / restore (flood LSAs + notify the routing layer) -----------
   void fail_link(NodeIndex u, NodeIndex v);

@@ -348,16 +348,13 @@ Network::LocateResult Network::locate_predecessor(NodeIndex from,
       return res;
     }
     // Gather candidates: Algorithm 2 over VN state and the pointer cache.
-    std::vector<Candidate> cands;
-    if (auto c = r.vn_best_match(target)) cands.push_back(*c);
+    const std::optional<Candidate> vn = r.vn_best_match(target);
+    std::optional<Candidate> cached;
     if (const CacheEntry* e = r.cache().best_match(target)) {
-      cands.push_back(Candidate{e->id, e->host, false});
+      cached = Candidate{e->id, e->host, false};
     }
-    std::sort(cands.begin(), cands.end(), [&](const Candidate& a, const Candidate& b) {
-      return NodeId::closer_to(target, a.id, b.id);
-    });
     bool moved = false;
-    for (const Candidate& c : cands) {
+    for (const auto& [c, from_cache] : CandidatePair(target, vn, cached)) {
       const NodeId d = NodeId::distance_cw(c.id, target);
       if (!(d < best_dist)) continue;  // no progress via this candidate
       if (c.host == cur) continue;     // resident but not predecessor-owner
@@ -1252,7 +1249,12 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
 
   NodeIndex cur = src_router;
   routers_[cur]->count_traversal();
-  std::vector<NodeIndex> traversed{cur};
+  // The walk's router path and per-link ring-hop counts are kept only for
+  // their readers, data-path snooping and label installs, so a greedy hop
+  // with both off allocates nothing.
+  const bool record_walk = cfg_.cache_data_paths || cfg_.enable_labels;
+  std::vector<NodeIndex> traversed;
+  if (record_walk) traversed.push_back(cur);
   // Label-install bookkeeping: the walk qualifies only when it completes
   // without resets (no stale pointers, no ephemeral leg, no dead chases) --
   // then the path is a stable pointer path and a later greedy run would
@@ -1351,20 +1353,15 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
     }
 
     // Algorithm 2: best resident/successor candidate vs best cached pointer.
-    std::vector<std::pair<Candidate, bool>> cands;  // candidate, from-cache
-    if (auto c = r.vn_best_match(dest)) cands.emplace_back(*c, false);
-    if (const CacheEntry* e = r.cache().best_match(dest)) {
-      if (map_->route_valid(e->path)) {
-        cands.emplace_back(Candidate{e->id, e->host, false}, true);
-      }
+    const std::optional<Candidate> vn = r.vn_best_match(dest);
+    std::optional<Candidate> cached;
+    if (const CacheEntry* e = r.cache().best_match(dest);
+        e != nullptr && map_->route_valid(e->path, e->route_up_at)) {
+      cached = Candidate{e->id, e->host, false};
     }
-    std::sort(cands.begin(), cands.end(),
-              [&](const auto& a, const auto& b) {
-                return NodeId::closer_to(dest, a.first.id, b.first.id);
-              });
 
     bool switched = false;
-    for (const auto& [c, from_cache] : cands) {
+    for (const auto& [c, from_cache] : CandidatePair(dest, vn, cached)) {
       if (dead_this_walk.contains(c.id)) {
         r.cache().erase(c.id);
         continue;
@@ -1464,9 +1461,11 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       }
       stats.latency_ms += fd.extra_latency_ms;
     }
-    ring_hops_when_leaving.push_back(stats.ring_hops);
     cur = *next;
-    traversed.push_back(cur);
+    if (record_walk) {
+      ring_hops_when_leaving.push_back(stats.ring_hops);
+      traversed.push_back(cur);
+    }
     routers_[cur]->count_traversal();
     ++stats.physical_hops;
     sim_.counters().add(sim::MsgCategory::kData, 1);

@@ -57,6 +57,7 @@ void PointerCache::insert(const NodeId& id, NodeIndex host, SourceRoute path) {
     const std::uint32_t slot = index_[pos].slot;
     slots_[slot].entry.host = host;
     slots_[slot].entry.path = std::move(path);
+    slots_[slot].entry.route_up_at = 0;
     touch(slot);
     return;
   }

@@ -27,6 +27,10 @@ struct CacheEntry {
   NodeId id;
   NodeIndex host = graph::kInvalidNode;
   SourceRoute path;  // physical route from the caching router to `host`
+  /// LinkStateMap::version() at which `path` was last found fully up, 0 for
+  /// never: the memo of the stamped route_valid check.  Insert, refresh and
+  /// slot reuse reset it.
+  mutable std::uint64_t route_up_at = 0;
 };
 
 class PointerCache {

@@ -16,7 +16,9 @@
 // by find_vnode/add_vnode, like any vector.
 #pragma once
 
+#include <array>
 #include <optional>
+#include <utility>
 
 #include "rofl/label_table.hpp"
 #include "rofl/pointer_cache.hpp"
@@ -30,6 +32,35 @@ struct Candidate {
   NodeId id;                          // the ID we'd be making progress toward
   NodeIndex host = graph::kInvalidNode;  // router currently hosting it
   bool resident = false;              // true if hosted here
+};
+
+/// Algorithm 2's choice at one router: VN.best_match and the best usable
+/// cached pointer, closest to the target first.  Two fixed slots, so a
+/// forwarding decision allocates nothing.  On a distance tie (both name the
+/// same ID) the VN candidate stays first.
+class CandidatePair {
+ public:
+  struct Entry {
+    Candidate c;
+    bool from_cache = false;
+  };
+
+  CandidatePair(const NodeId& target, const std::optional<Candidate>& vn,
+                const std::optional<Candidate>& cached) {
+    if (vn.has_value()) slots_[size_++] = Entry{*vn, false};
+    if (cached.has_value()) slots_[size_++] = Entry{*cached, true};
+    if (size_ == 2 &&
+        NodeId::closer_to(target, slots_[1].c.id, slots_[0].c.id)) {
+      std::swap(slots_[0], slots_[1]);
+    }
+  }
+
+  [[nodiscard]] const Entry* begin() const { return slots_.data(); }
+  [[nodiscard]] const Entry* end() const { return slots_.data() + size_; }
+
+ private:
+  std::array<Entry, 2> slots_{};
+  std::size_t size_ = 0;
 };
 
 class Router {

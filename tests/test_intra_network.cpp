@@ -7,6 +7,7 @@
 
 #include "util/stats.hpp"
 
+#include <bit>
 #include <set>
 
 namespace rofl::intra {
@@ -593,6 +594,123 @@ TEST(IntraLeave, EphemeralLeaveRemovesBackpointerEverywhere) {
   EXPECT_FALSE(t.net->route(0, eph).delivered);
   std::string err;
   ASSERT_TRUE(t.net->verify_rings(&err, /*strict=*/true)) << err;
+}
+
+// Golden route outcomes.  A fixed-seed ISP map, a join storm, host
+// departures and three batches of routes fold every JoinStats and RouteStats
+// field (latencies by bit pattern), the per-category message counters and
+// the cache totals into one FNV-1a digest.  The pinned constants were
+// produced by this body on the simulator before its first-hop table, the
+// stamped source-route check and the two-slot candidate pair: a forwarding
+// change that moves any decision, hop, latency or counter moves a digest.
+class GoldenDigest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const JoinStats& js) {
+    add(std::uint64_t{js.ok});
+    add(js.messages);
+    add(js.latency_ms);
+  }
+  void add(const RouteStats& rs) {
+    add(std::uint64_t{rs.delivered});
+    add(std::uint64_t{rs.physical_hops});
+    add(std::uint64_t{rs.ring_hops});
+    add(rs.latency_ms);
+    add(std::uint64_t{rs.shortest_hops});
+    add(rs.trace_id);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// With `faulty`, a FaultInjector drops 5% and duplicates 2% of messages and
+/// one link flaps down between the first two route batches and back up
+/// before the third.
+std::uint64_t golden_route_digest(Config cfg, bool faulty) {
+  cfg.cache_capacity = 24;  // small: evictions and slot reuse every batch
+  TestNet t(60, 6, cfg, 2718);
+  Network& net = *t.net;
+  sim::FaultPlan plan;
+  if (faulty) {
+    plan.defaults.loss = 0.05;
+    plan.defaults.duplicate = 0.02;
+    const NodeIndex u = t.topo.pops[0].front();
+    plan.link_flaps.push_back(sim::LinkFlap{
+        u, t.topo.graph.neighbors(u).front().to, 10.0, 20.0});
+  }
+  sim::FaultInjector injector(plan, 99, &net.simulator().metrics());
+  if (faulty) {
+    net.set_fault_injector(&injector);
+    net.schedule_fault_plan(plan);
+  }
+  GoldenDigest d;
+  std::vector<NodeId> ids;
+  for (std::size_t i = 0; i < 160; ++i) {
+    const Identity ident = Identity::generate(net.rng());
+    const auto gw = static_cast<NodeIndex>(net.rng().index(net.router_count()));
+    const JoinStats js = net.join_host(
+        ident, gw, i % 10 == 9 ? HostClass::kEphemeral : HostClass::kStable);
+    d.add(js);
+    if (js.ok) ids.push_back(ident.id());
+  }
+  const auto route_batch = [&] {
+    for (std::size_t i = 0; i < 300; ++i) {
+      const auto src =
+          static_cast<NodeIndex>(net.rng().index(net.router_count()));
+      d.add(net.route(src, ids[net.rng().index(ids.size())]));
+    }
+  };
+  route_batch();
+  // Departures leave stale cached pointers for the next batches to chase.
+  for (std::size_t i = 0; i < 12; ++i) {
+    const NodeId& victim = ids[(i * 11) % ids.size()];
+    const RepairStats rs =
+        i % 3 == 0 ? net.leave_host(victim) : net.fail_host(victim);
+    d.add(rs.messages);
+  }
+  net.simulator().run_until(15.0);
+  route_batch();
+  net.simulator().run_until(25.0);
+  route_batch();
+  for (std::size_t c = 0; c < sim::kMsgCategoryCount; ++c) {
+    d.add(net.simulator().counters().get(static_cast<sim::MsgCategory>(c)));
+  }
+  const Network::CacheTotals ct = net.cache_totals();
+  d.add(ct.hits);
+  d.add(ct.misses);
+  d.add(ct.evictions);
+  d.add(ct.stale_drops);
+  d.add(ct.entries);
+  net.set_fault_injector(nullptr);
+  return d.value();
+}
+
+TEST(IntraGolden, DefaultConfig) {
+  EXPECT_EQ(golden_route_digest(Config{}, false), 0x9d2c5212614d89f3ull);
+}
+
+TEST(IntraGolden, Labels) {
+  Config cfg;
+  cfg.enable_labels = true;
+  EXPECT_EQ(golden_route_digest(cfg, false), 0x655af83673476fc2ull);
+}
+
+TEST(IntraGolden, DataPathSnooping) {
+  Config cfg;
+  cfg.cache_data_paths = true;
+  EXPECT_EQ(golden_route_digest(cfg, false), 0x130087cffa06a206ull);
+}
+
+TEST(IntraGolden, LossDupAndLinkFlap) {
+  EXPECT_EQ(golden_route_digest(Config{}, true), 0xe39e245981b80341ull);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/isp_topology.hpp"
+
 namespace rofl::linkstate {
 namespace {
 
@@ -97,6 +99,76 @@ TEST(LinkState, RouteValidTracksTopology) {
   m.restore_link(1, 2);
   m.fail_node(1);
   EXPECT_FALSE(m.route_valid(route));
+}
+
+TEST(LinkState, StampedRouteCheckNeverMasksAFailure) {
+  Fixture f;
+  LinkStateMap m(&f.g, &f.sim);
+  const std::vector<graph::NodeIndex> route{0, 1, 2};
+  std::uint64_t stamp = 0;
+  EXPECT_TRUE(m.route_valid(route, stamp));
+  EXPECT_EQ(stamp, m.version());
+  EXPECT_TRUE(m.route_valid(route, stamp));  // unchanged topology: no walk
+  m.fail_link(1, 2);
+  EXPECT_FALSE(m.route_valid(route, stamp));
+  EXPECT_FALSE(m.route_valid(route, stamp));  // a dead route is never stamped
+  m.restore_link(1, 2);
+  EXPECT_TRUE(m.route_valid(route, stamp));
+  EXPECT_EQ(stamp, m.version());
+  m.fail_node(1);
+  EXPECT_FALSE(m.route_valid(route, stamp));
+  m.restore_node(1);
+  EXPECT_TRUE(m.route_valid(route, stamp));
+  // A change elsewhere moves the version; the re-walk still finds it up.
+  m.fail_link(0, 3);
+  EXPECT_TRUE(m.route_valid(route, stamp));
+  EXPECT_EQ(stamp, m.version());
+  std::uint64_t empty_stamp = 0;
+  EXPECT_FALSE(m.route_valid({}, empty_stamp));
+}
+
+TEST(LinkState, NextHopMatchesPathOnEveryPair) {
+  Rng rng(31);
+  graph::IspParams p;
+  p.router_count = 60;
+  p.pop_count = 6;
+  graph::IspTopology topo = graph::make_isp_topology(p, rng);
+  LinkStateMap m(&topo.graph, nullptr);
+  std::size_t unreachable = 0;
+  const auto check_all = [&](const char* phase) {
+    const auto n = static_cast<graph::NodeIndex>(topo.router_count());
+    for (graph::NodeIndex u = 0; u < n; ++u) {
+      for (graph::NodeIndex v = 0; v < n; ++v) {
+        const auto hop = m.next_hop(u, v);
+        if (u == v) {
+          ASSERT_EQ(hop, u) << phase;
+          continue;
+        }
+        const auto path = m.path(u, v);
+        if (path.empty()) {
+          ASSERT_EQ(hop, std::nullopt) << phase << " " << u << "->" << v;
+          ASSERT_FALSE(m.reachable(u, v));
+          ++unreachable;
+        } else {
+          ASSERT_EQ(hop, path[1]) << phase << " " << u << "->" << v;
+        }
+      }
+    }
+  };
+  check_all("intact");
+  const graph::NodeIndex a = topo.pops[0].front();
+  const graph::NodeIndex b = topo.graph.neighbors(a).front().to;
+  m.fail_link(a, b);
+  check_all("link down");
+  const graph::NodeIndex dead = topo.pops[1].back();
+  m.fail_node(dead);
+  check_all("link and node down");
+  EXPECT_GT(unreachable, 0u);  // every pair touching the dead router
+  m.restore_node(dead);
+  m.restore_link(a, b);
+  unreachable = 0;
+  check_all("restored");
+  EXPECT_EQ(unreachable, 0u);
 }
 
 // Random-ish connected graph, big enough to cross the parallel-recompute

@@ -68,6 +68,23 @@ TEST(PointerCache, ReinsertRefreshesEntry) {
   EXPECT_EQ(pc.find(id(1))->host, 2u);
 }
 
+TEST(PointerCache, RouteStampResetsOnInsertRefreshAndSlotReuse) {
+  PointerCache pc(1);
+  pc.insert(id(10), 1, {0, 1});
+  EXPECT_EQ(pc.find(id(10))->route_up_at, 0u);  // fresh insert: never checked
+  pc.find(id(10))->route_up_at = 7;
+  pc.insert(id(10), 2, {0, 2});  // refresh: a new route, so a new stamp
+  EXPECT_EQ(pc.find(id(10))->route_up_at, 0u);
+  pc.find(id(10))->route_up_at = 7;
+  pc.insert(id(20), 3, {0, 3});  // evicts 10, freeing its slot
+  ASSERT_EQ(pc.find(id(10)), nullptr);
+  pc.find(id(20))->route_up_at = 7;
+  pc.insert(id(30), 4, {0, 4});  // takes the freed slot, evicts 20
+  ASSERT_EQ(pc.find(id(20)), nullptr);
+  EXPECT_EQ(pc.find(id(30))->route_up_at, 0u);
+  EXPECT_TRUE(pc.invariants_ok());
+}
+
 TEST(PointerCache, EraseRemoves) {
   PointerCache pc(4);
   pc.insert(id(1), 1, {});

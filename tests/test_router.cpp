@@ -126,6 +126,31 @@ TEST(Router, EphemeralVnodesInvisibleToGreedyState) {
   EXPECT_TRUE(r.hosts(id(50)));
 }
 
+TEST(CandidatePair, RanksClosestFirstAndKeepsVnFirstOnTie) {
+  const NodeId dest = id(100);
+  const Candidate near{id(90), 1, false};
+  const Candidate far{id(40), 2, true};
+  const auto ids = [](const CandidatePair& p) {
+    std::vector<std::pair<NodeId, bool>> out;
+    for (const auto& [c, from_cache] : p) out.emplace_back(c.id, from_cache);
+    return out;
+  };
+  using V = std::vector<std::pair<NodeId, bool>>;
+  EXPECT_EQ(ids(CandidatePair(dest, far, near)),
+            (V{{id(90), true}, {id(40), false}}));
+  EXPECT_EQ(ids(CandidatePair(dest, near, far)),
+            (V{{id(90), false}, {id(40), true}}));
+  // Both name one ID: the VN candidate (its host, its flag) stays first.
+  const CandidatePair tie(dest, Candidate{id(90), 1, true},
+                          Candidate{id(90), 5, false});
+  EXPECT_EQ(ids(tie), (V{{id(90), false}, {id(90), true}}));
+  EXPECT_EQ(tie.begin()->c.host, 1u);
+  EXPECT_EQ(ids(CandidatePair(dest, std::nullopt, far)), (V{{id(40), true}}));
+  EXPECT_EQ(ids(CandidatePair(dest, near, std::nullopt)),
+            (V{{id(90), false}}));
+  EXPECT_TRUE(ids(CandidatePair(dest, std::nullopt, std::nullopt)).empty());
+}
+
 TEST(Router, EphemeralBackpointers) {
   Router r(0, make_identity(9), 16);
   r.add_ephemeral_backpointer(id(5), 7);

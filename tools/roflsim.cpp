@@ -373,16 +373,19 @@ int cmd_intra(const Args& a) {
   const std::uint64_t seed = a.num("seed", 1);
   Rng rng(seed);
   const auto topo = isp_from_args(a, rng);
+  // Counts are validated whole: "--routes -1" would otherwise wrap to
+  // 2^64-1 and never return.  "--cache 0" is legal; it disables caching.
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
   intra::Config cfg;
-  cfg.cache_capacity = a.num("cache", 2048);
+  cfg.cache_capacity = ranged_num_arg(a, "cache", 2048, 0, kMaxCount);
   cfg.enable_labels = a.flag("labels");
+  const std::size_t hosts = ranged_num_arg(a, "hosts", 1000, 0, kMaxCount);
+  const std::size_t routes = ranged_num_arg(a, "routes", 500, 0, kMaxCount);
   ObsSession watch(a);
   intra::Network net(&topo, cfg, seed + 1);
   watch.install(net.simulator());
   if (watch.want_route_dump) net.set_flight_recorder(&watch.recorder);
 
-  const std::size_t hosts = a.num("hosts", 1000);
-  const std::size_t routes = a.num("routes", 500);
   SampleSet join_msgs, join_lat;
   std::vector<NodeId> ids;
   for (std::size_t i = 0; i < hosts; ++i) {
