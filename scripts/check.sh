@@ -172,6 +172,14 @@ cmp build/net_ll_run1.json build/net_ll_run2.json
 grep -q '"net.lookups.hit"' build/net_ll_run1.json
 grep -q '"net.leave.relinks"' build/net_ll_run1.json
 
+# Lossy loopback exactness: the 64-router storm under 10 % loss and 20 ms
+# jitter must end with an exact ring on every seed (no id spliced twice).
+for seed in 1 2 3 4 5 6 7 8; do
+  timeout 60 build/tools/roflsim net --backend loopback --routers 64 \
+    --hosts 10000 --fingers 8 --loss 0.1 --jitter 20 --deadline-ms 600000 \
+    --seed "$seed" > /dev/null
+done
+
 # TSan leg: the suites that actually spin threads -- the UDP transport pump
 # and meshes (test_net) and the sharded engine's workers (test_sharded) --
 # must run clean under ThreadSanitizer.

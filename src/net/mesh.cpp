@@ -15,7 +15,9 @@
 
 #include "net/loopback.hpp"
 #include "net/udp.hpp"
+#include "proto/ring.hpp"
 #include "util/rng.hpp"
+#include "wire/packet.hpp"
 
 namespace rofl::net {
 
@@ -180,39 +182,28 @@ bool step_threads(const std::vector<LiveRouter*>& routers, double budget_ms) {
 
 // -- spawn mode serialization -------------------------------------------------
 
-constexpr std::size_t kVnodeWire = 56;  // 3x16-byte id + 2x u32 owner
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
+// One vnode's state record, big-endian: id, succ, both owners in one word
+// (succ_owner << 32 | pred_owner), pred -- 56 bytes.
+constexpr std::size_t kVnodeWire = 3 * wire::kNodeIdBytes + 8;
 
 void serialize_vnode(std::vector<std::uint8_t>& out, const Vnode& v) {
-  put_u64(out, v.id.hi());
-  put_u64(out, v.id.lo());
-  put_u64(out, v.succ.hi());
-  put_u64(out, v.succ.lo());
-  put_u64(out, static_cast<std::uint64_t>(v.succ_owner) << 32 |
-                   v.pred_owner);  // both owners packed in one word
-  put_u64(out, v.pred.hi());
-  put_u64(out, v.pred.lo());
+  const std::size_t at = out.size();
+  out.resize(at + kVnodeWire);
+  std::uint8_t* p = out.data() + at;
+  wire::store_node_id(p, v.id);
+  wire::store_node_id(p + 16, v.succ);
+  wire::store_be64(p + 32, std::uint64_t{v.succ_owner} << 32 | v.pred_owner);
+  wire::store_node_id(p + 40, v.pred);
 }
 
 Vnode deserialize_vnode(const std::uint8_t* p) {
   Vnode v;
-  v.id = NodeId{get_u64(p), get_u64(p + 8)};
-  v.succ = NodeId{get_u64(p + 16), get_u64(p + 24)};
-  const std::uint64_t owners = get_u64(p + 32);
+  v.id = wire::load_node_id(p);
+  v.succ = wire::load_node_id(p + 16);
+  const std::uint64_t owners = wire::load_be64(p + 32);
   v.succ_owner = static_cast<RouterId>(owners >> 32);
   v.pred_owner = static_cast<RouterId>(owners & 0xFFFFFFFFu);
-  v.pred = NodeId{get_u64(p + 40), get_u64(p + 48)};
+  v.pred = wire::load_node_id(p + 40);
   return v;
 }
 
@@ -243,7 +234,6 @@ MeshAuditReport audit_ring(
     if (rep.errors.size() < 10) rep.errors.push_back(what);
   };
 
-  std::sort(expected.begin(), expected.end());
   std::map<NodeId, std::pair<RouterId, Vnode>> by_id;
   for (const auto& [owner, v] : collected) {
     if (!by_id.emplace(v.id, std::make_pair(owner, v)).second) {
@@ -255,9 +245,12 @@ MeshAuditReport audit_ring(
            std::to_string(rep.expected));
   }
 
-  const std::size_t n = expected.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& [id, want_owner] = expected[i];
+  std::vector<proto::RingPtr> members;
+  members.reserve(expected.size());
+  for (const auto& [id, owner] : expected) members.push_back({id, owner});
+  const proto::CanonicalRing ring(std::move(members));
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const auto& [id, want_owner] = ring[i];
     const auto it = by_id.find(id);
     if (it == by_id.end()) {
       defect("missing id " + id.to_string());
@@ -269,8 +262,8 @@ MeshAuditReport audit_ring(
              std::to_string(owner) + ", expected " +
              std::to_string(want_owner));
     }
-    const auto& [next_id, next_owner] = expected[(i + 1) % n];
-    const auto& [prev_id, prev_owner] = expected[(i + n - 1) % n];
+    const auto& [next_id, next_owner] = ring.successor(i);
+    const auto& [prev_id, prev_owner] = ring.predecessor(i);
     if (v.succ != next_id || v.succ_owner != next_owner) {
       defect("id " + id.to_string() + " succ " + v.succ.to_string() + "@" +
              std::to_string(v.succ_owner) + ", expected " +

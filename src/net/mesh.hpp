@@ -91,7 +91,8 @@ struct MeshResult {
 std::vector<Identity> make_identities(std::uint64_t seed, std::uint32_t hosts);
 
 /// Ring exactness check over the collected (owner, vnode) pairs.
-/// `expected` maps every id to its owning router (sorted by id inside).
+/// `expected` maps every id to its owning router; each id's expected
+/// neighbors come from proto::CanonicalRing over that set.
 MeshAuditReport audit_ring(
     const std::vector<std::pair<RouterId, Vnode>>& collected,
     std::vector<std::pair<NodeId, RouterId>> expected);

@@ -28,6 +28,14 @@ std::vector<msg::CompactFinger> make_fingers(std::uint32_t n,
   return out;
 }
 
+template <class Work>
+Work* by_nonce(std::vector<Work>& pending, std::uint64_t nonce) {
+  for (Work& w : pending) {
+    if (w.nonce == nonce) return &w;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 Core::Core(CoreConfig cfg, Env& env) : cfg_(cfg), env_(env) {
@@ -85,86 +93,83 @@ void Core::send_control(RouterId dst, const msg::ControlMessage& m,
   std::vector<std::uint8_t> frame =
       msg::encode_control(m, src, dst_id, trace_id);
   if (frame.empty()) return;  // over a u16 wire limit; never transmit
-  const auto it = per_type_.find(static_cast<std::uint8_t>(msg::type_of(m)));
-  if (it != per_type_.end()) {
-    obs::Registry& reg = env_.metrics();
-    reg.add(it->second.msgs);
-    reg.add(it->second.bytes, frame.size());
-  }
+  count(msg::type_of(m), frame.size());
   env_.send(dst, std::move(frame), now_ms);
 }
 
-void Core::start_locate(JoinTask& t, RouterId at, double now_ms) {
-  t.st = JoinTask::St::kLocating;
-  t.locate_at = at;
-  t.timeout_ms = cfg_.retry.timeout_ms;
-  t.deadline_ms = now_ms + t.timeout_ms;
-  arm(t.deadline_ms);
-  msg::Locate loc;
-  loc.target = t.target;
-  loc.purpose = 0;
-  send_control(at, loc, router_label(cfg_.self), t.target, t.nonce, now_ms);
+void Core::backoff(Retry& r, double now_ms) {
+  ++r.attempt;
+  env_.metrics().add(retrans_);
+  env_.note_retry();
+  r.timeout_ms = cfg_.retry.next_timeout(r.timeout_ms);
+  r.deadline_ms = now_ms + r.timeout_ms;
 }
 
-void Core::send_join_request(JoinTask& t, double now_ms) {
-  msg::JoinRequest jr;
-  jr.nonce = t.nonce;
-  jr.gateway = cfg_.self;
-  jr.public_key = t.ident.public_key();
-  jr.fingers = make_fingers(cfg_.fingers, t.target);
-  send_control(t.join_to, jr, router_label(cfg_.self), t.target, t.nonce,
-               now_ms);
+void Core::start_walk(Walk& w, RouterId at, double now_ms) {
+  w.at = at;
+  w.joining = false;
+  w.retry = fresh_retry(now_ms);
+  send_walk(w, now_ms);
 }
 
-void Core::start_lookup(LookupTask& t, RouterId at, double now_ms) {
-  t.at = at;
-  t.timeout_ms = cfg_.retry.timeout_ms;
-  t.deadline_ms = now_ms + t.timeout_ms;
-  arm(t.deadline_ms);
-  msg::Locate loc;
-  loc.target = t.target;
-  loc.purpose = 2;  // data-plane probe
-  send_control(at, loc, router_label(cfg_.self), t.target, t.nonce, now_ms);
-}
-
-Core::JoinTask* Core::join_by_nonce(std::uint64_t nonce) {
-  for (JoinTask& t : active_) {
-    if (t.nonce == nonce) return &t;
+void Core::send_walk(const Walk& w, double now_ms) {
+  if (w.joining) {
+    msg::JoinRequest jr;
+    jr.nonce = w.nonce;
+    jr.gateway = cfg_.self;
+    jr.public_key = w.key;
+    jr.fingers = make_fingers(cfg_.fingers, w.target);
+    send_control(w.at, jr, router_label(cfg_.self), w.target, w.nonce,
+                 now_ms);
+    return;
   }
-  return nullptr;
+  msg::Locate loc;
+  loc.target = w.target;
+  loc.purpose = w.purpose;
+  send_control(w.at, loc, router_label(cfg_.self), w.target, w.nonce, now_ms);
 }
 
-Core::LookupTask* Core::lookup_by_nonce(std::uint64_t nonce) {
-  for (LookupTask& t : lookups_) {
-    if (t.nonce == nonce) return &t;
+void Core::retry_walk(Walk& w, double now_ms) {
+  if (now_ms < w.retry.deadline_ms) return;
+  if (!w.joining && w.retry.attempt + 1 >= cfg_.retry.max_attempts) {
+    // The walk may have died on a router this gateway cannot see: start
+    // over from the bootstrap.
+    env_.note_retry_exhausted();
+    start_walk(w, cfg_.bootstrap, now_ms);
+    return;
   }
-  return nullptr;
+  backoff(w.retry, now_ms);
+  send_walk(w, now_ms);
+}
+
+void Core::post(RouterId dst, decltype(Outbound::msg) m, double now_ms) {
+  const std::uint64_t nonce = next_nonce();
+  const auto it =
+      outbox_.emplace(nonce, Outbound{dst, std::move(m), fresh_retry(now_ms)})
+          .first;
+  send_outbound(nonce, it->second, now_ms);
+}
+
+void Core::send_outbound(std::uint64_t nonce, const Outbound& o,
+                         double now_ms) {
+  std::visit(
+      [&](const auto& m) {
+        send_control(o.dst, m, router_label(cfg_.self), m.subject, nonce,
+                     now_ms);
+      },
+      o.msg);
+}
+
+void Core::ack(const wire::Header& hdr, const NodeId& subject, double now_ms) {
+  msg::Keepalive ka;
+  ka.seq = hdr.trace_id;
+  send_control(label_router(hdr.source), ka, router_label(cfg_.self), subject,
+               hdr.trace_id, now_ms);
 }
 
 Vnode* Core::best_predecessor(const NodeId& target) {
   const auto it = closest_predecessor(vnodes_, target);
   return it == vnodes_.end() ? nullptr : &it->second;
-}
-
-void Core::schedule_install(RouterId dst, const NodeId& subject,
-                            const NodeId& neighbor, RouterId neighbor_owner,
-                            double now_ms) {
-  // Deliberately no self-delivery shortcut: even when dst == self the
-  // subject vnode may not be resident yet (its JoinReply is still in this
-  // router's own transport queue), so the install must go through the same
-  // retry-until-acked path as the remote case.
-  const std::uint64_t nonce = next_nonce();
-  PendingInstall pi;
-  pi.dst = dst;
-  pi.msg.subject = subject;
-  pi.msg.neighbor = neighbor;
-  pi.msg.neighbor_host = neighbor_owner;
-  pi.msg.op = 1;  // set-predecessor
-  pi.timeout_ms = cfg_.retry.timeout_ms;
-  pi.deadline_ms = now_ms + pi.timeout_ms;
-  arm(pi.deadline_ms);
-  send_control(dst, pi.msg, router_label(cfg_.self), subject, nonce, now_ms);
-  installs_.emplace(nonce, std::move(pi));
 }
 
 void Core::answer_locate(RouterId requester, const NodeId& target,
@@ -244,10 +249,7 @@ void Core::on_join_request(const wire::Header& hdr, const msg::JoinRequest& m,
   // spliced gets the cached JoinReply verbatim.
   const auto cached = join_cache_.find(target);
   if (cached != join_cache_.end()) {
-    const auto it =
-        per_type_.find(static_cast<std::uint8_t>(PacketType::kJoinReply));
-    reg.add(it->second.msgs);
-    reg.add(it->second.bytes, cached->second.size());
+    count(PacketType::kJoinReply, cached->second.size());
     env_.send(requester, cached->second, now_ms);
     return;
   }
@@ -276,30 +278,38 @@ void Core::on_join_request(const wire::Header& hdr, const msg::JoinRequest& m,
       make_join_reply(p->id, cfg_.self, std::span(&old_succ, 1), target);
   std::vector<std::uint8_t> frame = msg::encode_control(
       reply, router_label(cfg_.self), target, hdr.trace_id);
-  const auto it =
-      per_type_.find(static_cast<std::uint8_t>(PacketType::kJoinReply));
-  reg.add(it->second.msgs);
-  reg.add(it->second.bytes, frame.size());
+  count(PacketType::kJoinReply, frame.size());
   env_.send(requester, frame, now_ms);
   join_cache_[target] = std::move(frame);
 
-  // Tell the old successor its predecessor changed (reliable, acked).
-  schedule_install(old_succ.owner, old_succ.id, target, requester, now_ms);
+  // Tell the old successor its predecessor changed (reliable, acked).  No
+  // self-delivery shortcut even when the old successor is local: the subject
+  // vnode may not be resident yet (its JoinReply can still sit in this
+  // router's own transport queue), so the install takes the same
+  // retried-until-acked path as the remote case.
+  post(old_succ.owner,
+       msg::PointerInstall{.subject = old_succ.id, .neighbor = target,
+                           .neighbor_host = requester, .op = 1},
+       now_ms);
 }
 
 void Core::on_join_reply(const wire::Header& hdr, const msg::JoinReply& m,
                          double now_ms) {
-  JoinTask* t = join_by_nonce(hdr.trace_id);
-  if (t == nullptr || t->st != JoinTask::St::kJoining) return;  // stale
+  // Only the router the JoinRequest went to may answer it: a reply from any
+  // other router answers an earlier request and is stale.  Accepting it could
+  // walk an already-spliced id to a second splicer.
+  Walk* w = by_nonce(joins_, hdr.trace_id);
+  if (w == nullptr || !w->joining || label_router(hdr.source) != w->at) {
+    return;
+  }
   if (m.successors.empty()) {
     // Redirect: re-locate from the router the splicer pointed us at.
     env_.metrics().add(redirects_);
-    t->attempt = 0;
-    start_locate(*t, static_cast<RouterId>(m.predecessor_host), now_ms);
+    start_walk(*w, static_cast<RouterId>(m.predecessor_host), now_ms);
     return;
   }
   Vnode v;
-  v.id = t->target;
+  v.id = w->target;
   v.succ = m.successors.front().target;
   v.succ_owner = static_cast<RouterId>(m.successors.front().home_as);
   v.pred = m.predecessor;
@@ -307,26 +317,23 @@ void Core::on_join_reply(const wire::Header& hdr, const msg::JoinReply& m,
   vnodes_[v.id] = v;
   ++joins_completed_;
   env_.metrics().add(joins_done_id_);
-  env_.metrics().observe(join_latency_, now_ms - t->started_ms);
-  active_.erase(active_.begin() + (t - active_.data()));
+  env_.metrics().observe(join_latency_, now_ms - w->started_ms);
+  joins_.erase(joins_.begin() + (w - joins_.data()));
 }
 
 void Core::on_pointer_install(const wire::Header& hdr,
                               const msg::PointerInstall& m,
                               double now_ms) {
   if (m.op == 2) {  // locate answer (join walk or lookup probe)
-    if (JoinTask* t = join_by_nonce(hdr.trace_id)) {
-      if (t->st != JoinTask::St::kLocating) return;  // stale
-      t->st = JoinTask::St::kJoining;
-      t->join_to = m.neighbor_host;
-      t->attempt = 0;
-      t->timeout_ms = cfg_.retry.timeout_ms;
-      t->deadline_ms = now_ms + t->timeout_ms;
-      arm(t->deadline_ms);
-      send_join_request(*t, now_ms);
+    if (Walk* w = by_nonce(joins_, hdr.trace_id)) {
+      if (w->joining) return;  // stale
+      w->joining = true;
+      w->at = m.neighbor_host;
+      w->retry = fresh_retry(now_ms);
+      send_walk(*w, now_ms);
       return;
     }
-    LookupTask* l = lookup_by_nonce(hdr.trace_id);
+    Walk* l = by_nonce(lookups_, hdr.trace_id);
     if (l == nullptr) return;  // stale
     ++lookups_completed_;
     obs::Registry& reg = env_.metrics();
@@ -356,10 +363,7 @@ void Core::on_pointer_install(const wire::Header& hdr,
     // Ack regardless of whether the notify rule applied it -- the sender
     // only needs to know the install arrived (a stale install is *complete*,
     // not lost).
-    msg::Keepalive ack;
-    ack.seq = hdr.trace_id;
-    send_control(label_router(hdr.source), ack, router_label(cfg_.self),
-                 m.subject, hdr.trace_id, now_ms);
+    ack(hdr, m.subject, now_ms);
   }
 }
 
@@ -381,25 +385,17 @@ void Core::on_repair(const wire::Header& hdr, const msg::Repair& m,
   } else {
     return;  // unknown relink op: ignore (no ack, sender gives up loudly)
   }
-  msg::Keepalive ack;
-  ack.seq = hdr.trace_id;
-  send_control(label_router(hdr.source), ack, router_label(cfg_.self),
-               m.subject, hdr.trace_id, now_ms);
+  ack(hdr, m.subject, now_ms);
 }
 
-void Core::on_keepalive(const wire::Header& /*hdr*/, const msg::Keepalive& m) {
-  if (installs_.erase(m.seq) != 0) {
-    env_.metrics().add(acks_);
-    return;
-  }
-  if (relinks_.erase(m.seq) != 0) {
-    env_.metrics().add(acks_);
-    if (leaving_ && relinks_.empty()) {
-      // Every surviving boundary is repointed; this router's ids are no
-      // longer part of the ring anyone routes by.
-      vnodes_.clear();
-      departed_ = true;
-    }
+void Core::on_keepalive(const msg::Keepalive& m) {
+  if (outbox_.erase(m.seq) == 0) return;
+  env_.metrics().add(acks_);
+  if (leaving_ && outbox_.empty()) {
+    // Every surviving boundary is repointed; this router's ids are no
+    // longer part of the ring anyone routes by.
+    vnodes_.clear();
+    departed_ = true;
   }
 }
 
@@ -407,46 +403,25 @@ void Core::begin_leave(double now_ms) {
   if (leaving_) return;
   leaving_ = true;
   const std::vector<LeaveRelink> boundary = compute_leave_relinks(vnodes_);
-  for (const LeaveRelink& r : boundary) {
-    env_.metrics().add(leave_relinks_, 2);
-    // Surviving successor's predecessor jumps back over the departing run...
-    {
-      const std::uint64_t nonce = next_nonce();
-      PendingRelink pr;
-      pr.dst = r.succ.owner;
-      pr.msg.subject = r.succ.id;
-      pr.msg.neighbor = r.pred.id;
-      pr.msg.neighbor_host = r.pred.owner;
-      pr.msg.op = 1;  // predecessor-set
-      pr.timeout_ms = cfg_.retry.timeout_ms;
-      pr.deadline_ms = now_ms + pr.timeout_ms;
-      arm(pr.deadline_ms);
-      send_control(pr.dst, pr.msg, router_label(cfg_.self), r.succ.id, nonce,
-                   now_ms);
-      relinks_.emplace(nonce, std::move(pr));
-    }
-    // ...and the surviving predecessor's successor jumps forward over it.
-    {
-      const std::uint64_t nonce = next_nonce();
-      PendingRelink pr;
-      pr.dst = r.pred.owner;
-      pr.msg.subject = r.pred.id;
-      pr.msg.neighbor = r.succ.id;
-      pr.msg.neighbor_host = r.succ.owner;
-      pr.msg.op = 0;  // successor-set
-      pr.timeout_ms = cfg_.retry.timeout_ms;
-      pr.deadline_ms = now_ms + pr.timeout_ms;
-      arm(pr.deadline_ms);
-      send_control(pr.dst, pr.msg, router_label(cfg_.self), r.pred.id, nonce,
-                   now_ms);
-      relinks_.emplace(nonce, std::move(pr));
-    }
-  }
-  if (relinks_.empty()) {
+  if (boundary.empty()) {
     // No survivor to notify (the whole ring was resident here, or nothing
     // was): the departure is complete immediately.
     vnodes_.clear();
     departed_ = true;
+    return;
+  }
+  for (const LeaveRelink& r : boundary) {
+    env_.metrics().add(leave_relinks_, 2);
+    // Surviving successor's predecessor jumps back over the departing run...
+    post(r.succ.owner,
+         msg::Repair{.subject = r.succ.id, .neighbor = r.pred.id,
+                     .neighbor_host = r.pred.owner, .op = 1},
+         now_ms);
+    // ...and the surviving predecessor's successor jumps forward over it.
+    post(r.pred.owner,
+         msg::Repair{.subject = r.pred.id, .neighbor = r.succ.id,
+                     .neighbor_host = r.succ.owner, .op = 0},
+         now_ms);
   }
 }
 
@@ -472,7 +447,7 @@ void Core::on_frame(std::span<const std::uint8_t> frame, double now_ms) {
         } else if constexpr (std::is_same_v<T, msg::Repair>) {
           on_repair(f->header, mm, now_ms);
         } else if constexpr (std::is_same_v<T, msg::Keepalive>) {
-          on_keepalive(f->header, mm);
+          on_keepalive(mm);
         }
         // Other control types never appear in the live protocol.
       },
@@ -480,130 +455,59 @@ void Core::on_frame(std::span<const std::uint8_t> frame, double now_ms) {
 }
 
 void Core::tick(double now_ms) {
-  obs::Registry& reg = env_.metrics();
-
   // Start queued joins up to the outstanding cap.
-  while (active_.size() < cfg_.max_outstanding && !queued_.empty()) {
-    JoinTask t(std::move(queued_.front()));
+  while (joins_.size() < cfg_.max_outstanding && !queued_.empty()) {
+    const Identity& ident = queued_.front();
+    joins_.push_back({.target = ident.id(), .nonce = next_nonce(),
+                      .started_ms = now_ms, .key = ident.public_key()});
     queued_.pop_front();
-    t.target = t.ident.id();
-    t.nonce = next_nonce();
-    t.started_ms = now_ms;
-    active_.push_back(std::move(t));
-    start_locate(active_.back(), cfg_.bootstrap, now_ms);
+    start_walk(joins_.back(), cfg_.bootstrap, now_ms);
   }
   // And queued lookups; probes start at this router -- the natural
   // data-plane entry point -- and walk greedily from local ring state.
   while (lookups_.size() < cfg_.max_outstanding && !queued_lookups_.empty()) {
-    LookupTask t;
-    t.target = queued_lookups_.front();
+    lookups_.push_back({.target = queued_lookups_.front(),
+                        .nonce = next_nonce(), .purpose = 2,
+                        .started_ms = now_ms});
     queued_lookups_.pop_front();
-    t.nonce = next_nonce();
-    t.started_ms = now_ms;
-    lookups_.push_back(t);
-    start_lookup(lookups_.back(), cfg_.self, now_ms);
+    start_walk(lookups_.back(), cfg_.self, now_ms);
   }
 
   // Retry timers.
-  for (JoinTask& t : active_) {
-    if (now_ms < t.deadline_ms) continue;
-    ++t.attempt;
-    if (t.attempt >= cfg_.retry.max_attempts) {
-      // Give up on this walk entirely and restart from the bootstrap.
-      env_.note_retry_exhausted();
-      t.attempt = 0;
-      start_locate(t, cfg_.bootstrap, now_ms);
-      continue;
-    }
-    reg.add(retrans_);
-    env_.note_retry();
-    t.timeout_ms = cfg_.retry.next_timeout(t.timeout_ms);
-    t.deadline_ms = now_ms + t.timeout_ms;
-    arm(t.deadline_ms);
-    if (t.st == JoinTask::St::kLocating) {
-      msg::Locate loc;
-      loc.target = t.target;
-      send_control(t.locate_at, loc, router_label(cfg_.self), t.target,
-                   t.nonce, now_ms);
-    } else {
-      send_join_request(t, now_ms);
-    }
-  }
-  for (LookupTask& t : lookups_) {
-    if (now_ms < t.deadline_ms) continue;
-    ++t.attempt;
-    if (t.attempt >= cfg_.retry.max_attempts) {
-      // Restart the probe from the bootstrap -- the walk itself may have
-      // died on a router this gateway cannot see.
-      env_.note_retry_exhausted();
-      t.attempt = 0;
-      start_lookup(t, cfg_.bootstrap, now_ms);
-      continue;
-    }
-    reg.add(retrans_);
-    env_.note_retry();
-    t.timeout_ms = cfg_.retry.next_timeout(t.timeout_ms);
-    t.deadline_ms = now_ms + t.timeout_ms;
-    arm(t.deadline_ms);
-    msg::Locate loc;
-    loc.target = t.target;
-    loc.purpose = 2;
-    send_control(t.at, loc, router_label(cfg_.self), t.target, t.nonce,
-                 now_ms);
-  }
-  for (auto& [nonce, pi] : installs_) {
-    if (now_ms < pi.deadline_ms) continue;
-    ++pi.attempt;
-    reg.add(retrans_);
-    env_.note_retry();
-    pi.timeout_ms = cfg_.retry.next_timeout(pi.timeout_ms);
-    pi.deadline_ms = now_ms + pi.timeout_ms;
-    arm(pi.deadline_ms);
-    send_control(pi.dst, pi.msg, router_label(cfg_.self), pi.msg.subject,
-                 nonce, now_ms);
-  }
-  for (auto& [nonce, pr] : relinks_) {
-    if (now_ms < pr.deadline_ms) continue;
-    ++pr.attempt;
-    reg.add(retrans_);
-    env_.note_retry();
-    pr.timeout_ms = cfg_.retry.next_timeout(pr.timeout_ms);
-    pr.deadline_ms = now_ms + pr.timeout_ms;
-    arm(pr.deadline_ms);
-    send_control(pr.dst, pr.msg, router_label(cfg_.self), pr.msg.subject,
-                 nonce, now_ms);
+  for (Walk& w : joins_) retry_walk(w, now_ms);
+  for (Walk& w : lookups_) retry_walk(w, now_ms);
+  for (auto& [nonce, o] : outbox_) {
+    if (now_ms < o.retry.deadline_ms) continue;
+    backoff(o.retry, now_ms);
+    send_outbound(nonce, o, now_ms);
   }
 }
 
 void Core::debug_dump(std::ostream& os) const {
   os << "router " << cfg_.self << ": vnodes=" << vnodes_.size()
-     << " queued=" << queued_.size() << " active=" << active_.size()
-     << " installs=" << installs_.size() << " lookups=" << lookups_.size()
-     << " relinks=" << relinks_.size()
+     << " queued=" << queued_.size() << " joins=" << joins_.size()
+     << " lookups=" << lookups_.size() << " outbox=" << outbox_.size()
      << (leaving_ ? (departed_ ? " departed" : " leaving") : "") << "\n";
-  for (const JoinTask& t : active_) {
-    os << "  task nonce=" << std::hex << t.nonce << std::dec << " target="
-       << t.target.to_string().substr(0, 8)
-       << (t.st == JoinTask::St::kLocating ? " LOCATING at=" : " JOINING to=")
-       << (t.st == JoinTask::St::kLocating ? t.locate_at : t.join_to)
-       << " attempt=" << t.attempt << " timeout=" << t.timeout_ms << "\n";
-  }
-  for (const LookupTask& t : lookups_) {
-    os << "  lookup nonce=" << std::hex << t.nonce << std::dec << " target="
-       << t.target.to_string().substr(0, 8) << " at=" << t.at
-       << " attempt=" << t.attempt << "\n";
-  }
-  for (const auto& [nonce, pi] : installs_) {
-    os << "  install nonce=" << std::hex << nonce << std::dec << " dst="
-       << pi.dst << " subject=" << pi.msg.subject.to_string().substr(0, 8)
-       << " neighbor=" << pi.msg.neighbor.to_string().substr(0, 8)
-       << " attempt=" << pi.attempt << "\n";
-  }
-  for (const auto& [nonce, pr] : relinks_) {
-    os << "  relink nonce=" << std::hex << nonce << std::dec << " dst="
-       << pr.dst << " subject=" << pr.msg.subject.to_string().substr(0, 8)
-       << " neighbor=" << pr.msg.neighbor.to_string().substr(0, 8)
-       << " op=" << int(pr.msg.op) << " attempt=" << pr.attempt << "\n";
+  const auto dump_walks = [&os](const char* kind,
+                                const std::vector<Walk>& walks) {
+    for (const Walk& w : walks) {
+      os << "  " << kind << " nonce=" << std::hex << w.nonce << std::dec
+         << " target=" << w.target.to_string().substr(0, 8)
+         << (w.joining ? " JOINING to=" : " LOCATING at=") << w.at
+         << " attempt=" << w.retry.attempt
+         << " timeout=" << w.retry.timeout_ms << "\n";
+    }
+  };
+  dump_walks("join", joins_);
+  dump_walks("lookup", lookups_);
+  for (const auto& [nonce, o] : outbox_) {
+    const NodeId& subject =
+        std::visit([](const auto& m) -> const NodeId& { return m.subject; },
+                   o.msg);
+    os << "  " << (o.msg.index() == 0 ? "install" : "relink") << " nonce="
+       << std::hex << nonce << std::dec << " dst=" << o.dst
+       << " subject=" << subject.to_string().substr(0, 8)
+       << " attempt=" << o.retry.attempt << "\n";
   }
 }
 

@@ -5,9 +5,9 @@
 // installs retried until acked, data-plane lookups, and clean departure --
 // as a pure message-driven core.  The core consumes decoded
 // wire::ControlMessage frames plus the clock value its driver passes in,
-// and emits every effect (encoded frames, timer hints, retry telemetry,
-// metrics) through the narrow proto::Env interface.  It opens no sockets,
-// spawns no threads, reads no clock, and draws no randomness.
+// and emits every effect (encoded frames, retry telemetry, metrics)
+// through the narrow proto::Env interface.  It opens no sockets, spawns no
+// threads, reads no clock, and draws no randomness.
 //
 // net::LiveRouter is a thin driver over this core: transport pump in,
 // on_frame()/tick() through, frames back out.  The loopback mesh drives it
@@ -32,6 +32,13 @@
 //                    successor's predecessor, op=0 the surviving
 //                    predecessor's successor; retried until acked.
 //   Keepalive        seq echoes an install/relink nonce: the ack.
+//
+// Retries: all pending work backs off on one CoreConfig::retry schedule.  A
+// walk (join or lookup) resends its current frame to the router it went to;
+// while still locating it restarts from the bootstrap after max_attempts,
+// but a JoinRequest keeps backing off against its splicer, the one router
+// that can re-reply from its cache.  An outbox entry (install or relink) is
+// resent to its destination until a Keepalive acks its nonce.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +47,7 @@
 #include <ostream>
 #include <span>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -106,8 +114,8 @@ class Core {
   /// True when no queued or in-flight work remains (joins, lookups,
   /// installs, leave relinks).
   [[nodiscard]] bool quiescent() const {
-    return queued_.empty() && active_.empty() && installs_.empty() &&
-           queued_lookups_.empty() && lookups_.empty() && relinks_.empty();
+    return queued_.empty() && joins_.empty() && queued_lookups_.empty() &&
+           lookups_.empty() && outbox_.empty();
   }
 
   /// True once begin_leave() finished: every relink acked, vnodes dropped.
@@ -129,55 +137,61 @@ class Core {
   void debug_dump(std::ostream& os) const;
 
  private:
-  struct JoinTask {
-    explicit JoinTask(Identity i) : ident(std::move(i)) {}
-    Identity ident;
+  /// Backoff state of one retried exchange; `attempt` counts resends since
+  /// the exchange (re)started.
+  struct Retry {
+    unsigned attempt = 0;
+    double timeout_ms = 0.0;
+    double deadline_ms = 0.0;
+  };
+
+  /// A join (purpose 0) or lookup (purpose 2) Locate walk, matched to its
+  /// answers by `nonce`.  `at` is where its current frame went: once a join's
+  /// walk is answered, the JoinRequest to the predecessor's owner.
+  struct Walk {
     NodeId target;
     std::uint64_t nonce = 0;
-    enum class St : std::uint8_t { kLocating, kJoining } st = St::kLocating;
-    RouterId locate_at = 0;  ///< router the current locate was sent to
-    RouterId join_to = 0;    ///< predecessor owner the JoinRequest went to
-    unsigned attempt = 0;
-    double timeout_ms = 0.0;
-    double deadline_ms = 0.0;
+    RouterId at = 0;
+    std::uint8_t purpose = 0;
+    bool joining = false;
+    Retry retry{};
     double started_ms = 0.0;
+    PublicKey key{};  ///< the joiner's; join walks only
   };
 
-  /// A data-plane lookup probe awaiting its op=2 answer.
-  struct LookupTask {
-    NodeId target;
-    std::uint64_t nonce = 0;
-    RouterId at = 0;  ///< router the current probe was sent to
-    unsigned attempt = 0;
-    double timeout_ms = 0.0;
-    double deadline_ms = 0.0;
-    double started_ms = 0.0;
-  };
-
-  /// A set-predecessor install awaiting its Keepalive ack.
-  struct PendingInstall {
+  /// A set-predecessor install (PointerInstall op=1) or a departure relink
+  /// (Repair), resent to `dst` until a Keepalive acks its nonce.
+  struct Outbound {
     RouterId dst = 0;
-    wire::msg::PointerInstall msg;
-    unsigned attempt = 0;
-    double timeout_ms = 0.0;
-    double deadline_ms = 0.0;
-  };
-
-  /// A departure relink (Repair) awaiting its Keepalive ack.
-  struct PendingRelink {
-    RouterId dst = 0;
-    wire::msg::Repair msg;
-    unsigned attempt = 0;
-    double timeout_ms = 0.0;
-    double deadline_ms = 0.0;
+    std::variant<wire::msg::PointerInstall, wire::msg::Repair> msg;
+    Retry retry{};
   };
 
   void send_control(RouterId dst, const wire::msg::ControlMessage& m,
                     const NodeId& src, const NodeId& dst_id,
                     std::uint64_t trace_id, double now_ms);
-  void start_locate(JoinTask& t, RouterId at, double now_ms);
-  void send_join_request(JoinTask& t, double now_ms);
-  void start_lookup(LookupTask& t, RouterId at, double now_ms);
+  /// Per-type message and byte accounting for one frame sent (inline: it
+  /// runs on every send).
+  void count(wire::PacketType type, std::size_t bytes) {
+    const auto it = per_type_.find(static_cast<std::uint8_t>(type));
+    if (it == per_type_.end()) return;
+    obs::Registry& reg = env_.metrics();
+    reg.add(it->second.msgs);
+    reg.add(it->second.bytes, bytes);
+  }
+  [[nodiscard]] Retry fresh_retry(double now_ms) const {
+    return Retry{0, cfg_.retry.timeout_ms, now_ms + cfg_.retry.timeout_ms};
+  }
+  /// The one backoff step: counts the caller's resend, moves the deadline.
+  void backoff(Retry& r, double now_ms);
+  void start_walk(Walk& w, RouterId at, double now_ms);  ///< (re)locate
+  void send_walk(const Walk& w, double now_ms);  ///< Locate or JoinRequest
+  void retry_walk(Walk& w, double now_ms);
+  /// Sends `m` to `dst` and keeps it in the outbox until acked.
+  void post(RouterId dst, decltype(Outbound::msg) m, double now_ms);
+  void send_outbound(std::uint64_t nonce, const Outbound& o, double now_ms);
+  /// Keepalive echoing the nonce of the install or relink in `hdr`.
+  void ack(const wire::Header& hdr, const NodeId& subject, double now_ms);
   void on_locate(const wire::Header& hdr, const wire::msg::Locate& m,
                  double now_ms);
   void on_join_request(const wire::Header& hdr,
@@ -188,10 +202,7 @@ class Core {
                           const wire::msg::PointerInstall& m, double now_ms);
   void on_repair(const wire::Header& hdr, const wire::msg::Repair& m,
                  double now_ms);
-  void on_keepalive(const wire::Header& hdr, const wire::msg::Keepalive& m);
-  void schedule_install(RouterId dst, const NodeId& subject,
-                        const NodeId& neighbor, RouterId neighbor_owner,
-                        double now_ms);
+  void on_keepalive(const wire::msg::Keepalive& m);
   void answer_locate(RouterId requester, const NodeId& target,
                      const NodeId& neighbor, RouterId neighbor_owner,
                      std::uint64_t trace_id, double now_ms);
@@ -199,23 +210,20 @@ class Core {
   /// (proto::closest_predecessor, O(log n) on the ordered resident map);
   /// nullptr when none.
   Vnode* best_predecessor(const NodeId& target);
-  JoinTask* join_by_nonce(std::uint64_t nonce);
-  LookupTask* lookup_by_nonce(std::uint64_t nonce);
   std::uint64_t next_nonce() {
     return (static_cast<std::uint64_t>(cfg_.self) << 40) | ++nonce_counter_;
   }
-  void arm(double deadline_ms) { env_.on_timer_armed(deadline_ms); }
 
   CoreConfig cfg_;
   Env& env_;
 
   std::map<NodeId, Vnode> vnodes_;
   std::deque<Identity> queued_;
-  std::vector<JoinTask> active_;
+  std::vector<Walk> joins_;
   std::deque<NodeId> queued_lookups_;
-  std::vector<LookupTask> lookups_;
-  std::unordered_map<std::uint64_t, PendingInstall> installs_;
-  std::unordered_map<std::uint64_t, PendingRelink> relinks_;
+  std::vector<Walk> lookups_;
+  /// Installs and relinks awaiting their Keepalive, by nonce.
+  std::unordered_map<std::uint64_t, Outbound> outbox_;
   /// Encoded JoinReply per spliced id: the idempotent re-reply for
   /// retransmitted JoinRequests.
   std::unordered_map<NodeId, std::vector<std::uint8_t>> join_cache_;

@@ -3,30 +3,22 @@
 // proto::Core is sans-I/O: it consumes decoded wire::ControlMessages plus
 // the clock value its driver passes in, mutates its own state, and emits
 // every externally visible effect through this interface.  A driver
-// implements five concerns and nothing else:
+// implements four functions and nothing else:
 //
-//   send      transmit one already-encoded frame to a router (the core does
-//             the encoding and the per-type byte accounting; the driver owns
-//             datagrams, threads, and impairment).
-//   timer     on_timer_armed(deadline) is a scheduling *hint*: the earliest
-//             retry deadline moved.  Poll-driven drivers (the loopback and
-//             UDP meshes call tick() every step) may ignore it; an
-//             event-driven driver can sleep until the deadline instead of
-//             spinning.
-//   rng       the core draws no randomness at all -- nonces are derived
-//             deterministically from (router id, counter), the same
-//             derived-not-drawn discipline intra::Network uses for its join
-//             nonces.  What it does expose is retry telemetry
-//             (note_retry / note_retry_exhausted) that drivers forward to
-//             their sim::FaultInjector stream so fault accounting matches
-//             the simulator's.
-//   clock     there is no clock call: every entry point takes now_ms.  The
-//             loopback mesh passes virtual milliseconds, the UDP mesh wall
-//             milliseconds; the core cannot tell the difference, which is
-//             exactly why the same state machine runs on both.
-//   metrics   the obs::Registry the core registers its counters and
-//             histograms in (registration order is the cross-router merge
-//             contract; the core registers identically on every router).
+//   send        transmit one already-encoded frame to a router (the core
+//               does the encoding and the per-type byte accounting; the
+//               driver owns datagrams, threads, and impairment).
+//   metrics     the obs::Registry the core registers its counters and
+//               histograms in, identically on every router (registration
+//               order is the cross-router merge contract).
+//   note_retry, note_retry_exhausted
+//               retry telemetry for the driver's sim::FaultInjector, so
+//               fault accounting matches the simulator's.
+//
+// There is no clock and no rng.  Every entry point takes now_ms (virtual on
+// the loopback mesh, wall on UDP; the core cannot tell), and drivers call
+// tick() every step to fire due retries.  Nonces are derived from (router
+// id, counter), as intra::Network derives its join nonces.
 //
 // DESIGN.md section 17 documents the effect model and the equivalence
 // contract this seam carries.
@@ -58,10 +50,6 @@ class Env {
   /// Retry telemetry, forwarded to the driver's fault/retry accounting.
   virtual void note_retry() = 0;
   virtual void note_retry_exhausted() = 0;
-
-  /// The earliest pending deadline changed to `deadline_ms`.  Optional hint;
-  /// poll-driven drivers ignore it.
-  virtual void on_timer_armed(double /*deadline_ms*/) {}
 };
 
 }  // namespace rofl::proto

@@ -15,6 +15,7 @@
 // here.  DESIGN.md section 17 documents the layering.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -66,6 +67,41 @@ template <class Map>
 struct RingPtr {
   NodeId id;
   std::uint32_t owner = 0;
+
+  friend auto operator<=>(const RingPtr&, const RingPtr&) = default;
+};
+
+/// The ring every substrate must converge to: its members sorted by id, each
+/// pointing at its neighbors in that order.  A lone member is its own
+/// successor and predecessor -- the self-loop proto::Core::seed installs and
+/// the one shape every ring rule above accepts.
+class CanonicalRing {
+ public:
+  explicit CanonicalRing(std::vector<RingPtr> members)
+      : members_(std::move(members)) {
+    std::sort(members_.begin(), members_.end());
+  }
+
+  [[nodiscard]] std::size_t size() const { return members_.size(); }
+  [[nodiscard]] const RingPtr& operator[](std::size_t i) const {
+    return members_[i];
+  }
+  /// Member i's s-th successor (s >= 1).
+  [[nodiscard]] const RingPtr& successor(std::size_t i,
+                                         std::size_t s = 1) const {
+    return members_[(i + s) % members_.size()];
+  }
+  [[nodiscard]] const RingPtr& predecessor(std::size_t i) const {
+    return successor(i, members_.size() - 1);
+  }
+  /// Entries in a successor group bounded by k >= 1: the next k members, or
+  /// every other member, or the self-loop alone.
+  [[nodiscard]] std::size_t group_size(std::size_t k) const {
+    return members_.size() == 1 ? 1 : std::min(k, members_.size() - 1);
+  }
+
+ private:
+  std::vector<RingPtr> members_;
 };
 
 /// Builds the JoinReply a predecessor sends when admitting `joiner` between

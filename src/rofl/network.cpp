@@ -9,6 +9,22 @@
 
 namespace rofl::intra {
 
+namespace {
+
+NeighborPtr neighbor(const proto::RingPtr& p) { return {p.id, p.owner}; }
+
+/// Member i's canonical successor group for group bound k.
+std::vector<NeighborPtr> canonical_group(const proto::CanonicalRing& ring,
+                                         std::size_t i, std::size_t k) {
+  std::vector<NeighborPtr> group;
+  for (std::size_t s = 1; s <= ring.group_size(k); ++s) {
+    group.push_back(neighbor(ring.successor(i, s)));
+  }
+  return group;
+}
+
+}  // namespace
+
 Network::Network(const graph::IspTopology* topo, Config cfg, std::uint64_t seed)
     : topo_(topo), cfg_(cfg), rng_(seed) {
   assert(topo != nullptr);
@@ -68,36 +84,45 @@ void Network::bootstrap_router_ring() {
   // Section 3.1: each router starts a default virtual node holding the
   // router-ID; the default vnode joins by flooding, so after bring-up the
   // router-ID ring is complete.  We materialise the steady state directly
-  // and (optionally) charge one network flood per router for it.
-  std::vector<std::pair<NodeId, NodeIndex>> order;
-  order.reserve(routers_.size());
-  for (const auto& r : routers_) order.emplace_back(r->router_id(), r->index());
-  std::sort(order.begin(), order.end());
-
-  const std::size_t n = order.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  // and (optionally) charge one network flood per router for it.  A lone
+  // router's default vnode is a self-loop, as proto::Core::seed() installs
+  // on the live side -- the ring rules then make it everything's
+  // predecessor.
+  std::vector<proto::RingPtr> members;
+  members.reserve(routers_.size());
+  for (const auto& r : routers_) {
+    members.push_back({r->router_id(), r->index()});
+  }
+  const proto::CanonicalRing ring(std::move(members));
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const auto& [id, host] = ring[i];
     VirtualNode vn;
-    vn.id = order[i].first;
-    vn.pub = routers_[order[i].second]->identity().public_key();
+    vn.id = id;
+    vn.pub = routers_[host]->identity().public_key();
     vn.is_default = true;
-    if (n == 1) {
-      // Degenerate one-router ring: the lone default vnode is its own
-      // successor and predecessor, same as proto::Core::seed() on the live
-      // side -- the ring rules then make it everything's predecessor.
-      vn.successors.push_back(NeighborPtr{vn.id, order[i].second});
-      vn.predecessor = NeighborPtr{vn.id, order[i].second};
-    } else {
-      for (std::size_t s = 1; s <= cfg_.successor_group && s < n; ++s) {
-        const auto& [sid, shost] = order[(i + s) % n];
-        vn.successors.push_back(NeighborPtr{sid, shost});
-      }
-      const auto& [pid, phost] = order[(i + n - 1) % n];
-      vn.predecessor = NeighborPtr{pid, phost};
-    }
-    routers_[order[i].second]->add_vnode(std::move(vn));
-    directory_[order[i].first] = order[i].second;
+    vn.successors = canonical_group(ring, i, cfg_.successor_group);
+    vn.predecessor = neighbor(ring.predecessor(i));
+    routers_[host]->add_vnode(std::move(vn));
+    directory_[id] = host;
     if (cfg_.count_bootstrap) map_->account_flood(sim::MsgCategory::kJoin);
   }
+}
+
+std::vector<proto::CanonicalRing> Network::component_rings() const {
+  const auto comp = topo_->graph.components();
+  std::map<NodeIndex, std::vector<proto::RingPtr>> members;
+  for (const auto& [id, host] : directory_) {
+    if (!topo_->graph.node_up(host)) continue;
+    const auto cls = host_class_.find(id);
+    if (cls != host_class_.end() && cls->second == HostClass::kEphemeral) {
+      continue;
+    }
+    members[comp[host]].push_back({id, host});
+  }
+  std::vector<proto::CanonicalRing> rings;
+  rings.reserve(members.size());
+  for (auto& [component, m] : members) rings.emplace_back(std::move(m));
+  return rings;
 }
 
 Network::Transfer Network::unicast(NodeIndex a, NodeIndex b,
@@ -837,6 +862,8 @@ RepairStats Network::splice_out(const NodeId& id, bool directed_flood,
                       [&](const NeighborPtr& s) { return s.id == torn; });
       if (had) {
         remove_successor(*p, torn);
+        // The survivor of a two-member ring is left alone: a self-loop.
+        if (p->successors.empty()) p->successors.push_back(walk);
         ++stats.pointers_torn;
         routers_[walk.host]->reindex_vnode(p->id);
         cleaned.push_back(walk);
@@ -984,35 +1011,14 @@ RepairStats Network::repair_partitions() {
     assert(zero.verify_consistent());
   }
 
-  // Gather live stable vnodes per connected component.
-  const auto comp = topo_->graph.components();
-  std::map<NodeIndex, std::vector<std::pair<NodeId, NodeIndex>>> rings;
-  for (const auto& [id, host] : directory_) {
-    if (!topo_->graph.node_up(host)) continue;
-    const auto cls = host_class_.find(id);
-    if (cls != host_class_.end() && cls->second == HostClass::kEphemeral) continue;
-    rings[comp[host]].emplace_back(id, host);
-  }
-
-  for (auto& [component, members] : rings) {
-    std::sort(members.begin(), members.end());
-    const std::size_t n = members.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& [vid, vhost] = members[i];
+  for (const proto::CanonicalRing& ring : component_rings()) {
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const auto& [vid, vhost] = ring[i];
       VirtualNode* vn = routers_[vhost]->find_vnode(vid);
       if (vn == nullptr) continue;
-
-      // Desired successor group within this component.
-      std::vector<NeighborPtr> want;
-      for (std::size_t s = 1; s <= cfg_.successor_group && s < n; ++s) {
-        const auto& [sid, shost] = members[(i + s) % n];
-        want.push_back(NeighborPtr{sid, shost});
-      }
-      std::optional<NeighborPtr> want_pred;
-      if (n > 1) {
-        const auto& [pid, phost] = members[(i + n - 1) % n];
-        want_pred = NeighborPtr{pid, phost};
-      }
+      const std::vector<NeighborPtr> want =
+          canonical_group(ring, i, cfg_.successor_group);
+      const NeighborPtr want_pred = neighbor(ring.predecessor(i));
 
       // Charge repair messages only for pointers that actually change:
       // unaffected vnodes cost nothing, matching the paper's finding that
@@ -1037,15 +1043,13 @@ RepairStats Network::repair_partitions() {
         changed = true;
       }
       if (vn->predecessor != want_pred) {
-        if (want_pred.has_value()) {
-          const Exchange ex = reliable_exchange(
-              vhost, want_pred->host, sim::MsgCategory::kRepair,
-              wire::msg::Repair{.subject = vid,
-                                .neighbor = want_pred->id,
-                                .neighbor_host = want_pred->host,
-                                .op = 1});
-          stats.messages += ex.t.messages;
-        }
+        const Exchange ex = reliable_exchange(
+            vhost, want_pred.host, sim::MsgCategory::kRepair,
+            wire::msg::Repair{.subject = vid,
+                              .neighbor = want_pred.id,
+                              .neighbor_host = want_pred.host,
+                              .op = 1});
+        stats.messages += ex.t.messages;
         vn->predecessor = want_pred;
         changed = true;
       }
@@ -1643,77 +1647,45 @@ std::optional<NodeIndex> Network::hosting_router(const NodeId& id) const {
 }
 
 bool Network::verify_rings(std::string* err, bool strict) const {
-  const auto comp = topo_->graph.components();
-  // Collect live stable vnodes per component.
-  std::map<NodeIndex, std::vector<std::pair<NodeId, NodeIndex>>> rings;
-  for (const auto& [id, host] : directory_) {
-    if (!topo_->graph.node_up(host)) continue;
-    const auto cls = host_class_.find(id);
-    if (cls != host_class_.end() && cls->second == HostClass::kEphemeral) continue;
-    rings[comp[host]].emplace_back(id, host);
-  }
-  for (const auto& [component, members_const] : rings) {
-    auto members = members_const;
-    std::sort(members.begin(), members.end());
-    const std::size_t n = members.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& [vid, vhost] = members[i];
+  const auto fail = [err](const auto&... what) {
+    if (err != nullptr) {
+      std::ostringstream os;
+      (os << ... << what);
+      *err = os.str();
+    }
+    return false;
+  };
+  for (const proto::CanonicalRing& ring : component_rings()) {
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const auto& [vid, vhost] = ring[i];
       const VirtualNode* vn = routers_[vhost]->find_vnode(vid);
       if (vn == nullptr) {
-        if (err != nullptr) {
-          std::ostringstream os;
-          os << "directory lists " << vid << " at router " << vhost
-             << " but no vnode exists";
-          *err = os.str();
-        }
-        return false;
+        return fail("directory lists ", vid, " at router ", vhost,
+                    " but no vnode exists");
       }
-      if (n == 1) continue;
-      const auto& [expect_id, expect_host] = members[(i + 1) % n];
+      const NeighborPtr next = neighbor(ring.successor(i));
       const NeighborPtr* succ = vn->first_successor();
-      if (succ == nullptr || succ->id != expect_id || succ->host != expect_host) {
-        if (err != nullptr) {
-          std::ostringstream os;
-          os << "vnode " << vid << " at router " << vhost
-             << " successor mismatch: expected " << expect_id << "@"
-             << expect_host;
-          if (succ != nullptr) os << " got " << succ->id << "@" << succ->host;
-          *err = os.str();
-        }
-        return false;
+      if (succ == nullptr || *succ != next) {
+        std::ostringstream got;
+        if (succ != nullptr) got << " got " << succ->id << "@" << succ->host;
+        return fail("vnode ", vid, " at router ", vhost,
+                    " successor mismatch: expected ", next.id, "@", next.host,
+                    got.str());
       }
-      if (strict) {
-        const std::size_t want = std::min(cfg_.successor_group, n - 1);
-        if (vn->successors.size() != want) {
-          if (err != nullptr) {
-            std::ostringstream os;
-            os << "vnode " << vid << " group size " << vn->successors.size()
-               << " != " << want;
-            *err = os.str();
-          }
-          return false;
+      if (!strict) continue;
+      const std::vector<NeighborPtr> want =
+          canonical_group(ring, i, cfg_.successor_group);
+      if (vn->successors.size() != want.size()) {
+        return fail("vnode ", vid, " group size ", vn->successors.size(),
+                    " != ", want.size());
+      }
+      for (std::size_t s = 0; s < want.size(); ++s) {
+        if (vn->successors[s] != want[s]) {
+          return fail("vnode ", vid, " successor[", s, "] mismatch");
         }
-        for (std::size_t s = 0; s < want; ++s) {
-          const auto& [sid, shost] = members[(i + s + 1) % n];
-          if (vn->successors[s].id != sid || vn->successors[s].host != shost) {
-            if (err != nullptr) {
-              std::ostringstream os;
-              os << "vnode " << vid << " successor[" << s << "] mismatch";
-              *err = os.str();
-            }
-            return false;
-          }
-        }
-        const auto& [pid, phost] = members[(i + n - 1) % n];
-        if (!vn->predecessor.has_value() || vn->predecessor->id != pid ||
-            vn->predecessor->host != phost) {
-          if (err != nullptr) {
-            std::ostringstream os;
-            os << "vnode " << vid << " predecessor mismatch";
-            *err = os.str();
-          }
-          return false;
-        }
+      }
+      if (vn->predecessor != neighbor(ring.predecessor(i))) {
+        return fail("vnode ", vid, " predecessor mismatch");
       }
     }
   }

@@ -42,6 +42,7 @@
 #include "graph/isp_topology.hpp"
 #include "linkstate/link_state.hpp"
 #include "obs/flight_recorder.hpp"
+#include "proto/ring.hpp"
 #include "rofl/router.hpp"
 #include "rofl/types.hpp"
 #include "rofl/zero_id.hpp"
@@ -400,6 +401,10 @@ class Network {
   void flush_labels();
 
   void bootstrap_router_ring();
+  /// Live stable vnodes as one canonical ring per connected component, in
+  /// component order: what repair_partitions installs and verify_rings
+  /// checks.
+  [[nodiscard]] std::vector<proto::CanonicalRing> component_rings() const;
   [[nodiscard]] NodeIndex failover_router(NodeIndex failed) const;
   void cache_along_path(const std::vector<NodeIndex>& path, const NodeId& id,
                         NodeIndex host);

@@ -58,13 +58,17 @@ struct VirtualNode {
 
 /// Orders `p` into `owner`'s successor group (nearest in clockwise distance
 /// first) and truncates to `k`.  Refreshes the host if the ID is already
-/// present.  One binary-search pass: the group is sorted by clockwise
-/// distance from owner.id, and distance from a fixed origin is injective,
-/// so the insertion point found by lower_bound is also the only position a
-/// duplicate of p.id could occupy.
+/// present.  A lone member's group is its self-loop; the first real
+/// successor replaces it.  One binary-search pass: the group is sorted by
+/// clockwise distance from owner.id, and distance from a fixed origin is
+/// injective, so the insertion point found by lower_bound is also the only
+/// position a duplicate of p.id could occupy.
 inline void insert_sorted_successor(VirtualNode& owner, const NeighborPtr& p,
                                     std::size_t k) {
   if (p.id == owner.id) return;
+  if (owner.successors.size() == 1 && owner.successors.front().id == owner.id) {
+    owner.successors.clear();
+  }
   const NodeId d_new = NodeId::distance_cw(owner.id, p.id);
   const auto it = std::lower_bound(
       owner.successors.begin(), owner.successors.end(), d_new,

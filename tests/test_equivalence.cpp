@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/isp_topology.hpp"
@@ -70,6 +71,8 @@ TEST(CrossSubstrate, JoinCountsMatchSimVsLoopbackMesh) {
     const intra::JoinStats js = sim_net.join_host(ids[h], 0);
     ASSERT_TRUE(js.ok) << "sim join " << h << " failed";
   }
+  std::string err;
+  EXPECT_TRUE(sim_net.verify_rings(&err, /*strict=*/true)) << err;
   const std::uint64_t sim_msgs =
       sim_net.simulator().counters().get(sim::MsgCategory::kJoin);
   const std::uint64_t sim_bytes =

@@ -47,6 +47,21 @@ struct TestNet {
   }
 };
 
+/// `n` routers in a line, 0 - 1 - ... - n-1, as one PoP.
+graph::IspTopology line_isp(std::size_t n) {
+  graph::IspTopology topo;
+  topo.name = "line";
+  topo.graph = graph::Graph(n);
+  topo.pops.resize(1);
+  for (NodeIndex r = 0; r < n; ++r) {
+    if (r + 1 < n) topo.graph.add_edge(r, r + 1);
+    topo.pop_of.push_back(0);
+    topo.pops[0].push_back(r);
+    topo.is_backbone.push_back(true);
+  }
+  return topo;
+}
+
 TEST(IntraDeterminism, ParallelSpfReproducesSerialRunExactly) {
   // Acceptance gate for the parallel SPF substrate: with a fixed seed, a
   // network repairing topology failures over the worker pool must produce
@@ -117,6 +132,29 @@ TEST(IntraBootstrap, DefaultVnodesHaveSuccessorGroups) {
     EXPECT_EQ(vn.successors.size(), t.net->config().successor_group);
     EXPECT_TRUE(vn.predecessor.has_value());
   }
+}
+
+TEST(IntraBootstrap, OneRouterRingStaysCanonical) {
+  // A lone member is a self-loop, and the ring stays canonical while hosts
+  // join around the router's default vnode, leave again, and rejoin.
+  graph::IspTopology topo = line_isp(1);
+  Network net(&topo, Config{}, 5);
+  std::string err;
+  ASSERT_TRUE(net.verify_rings(&err, true)) << err;
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 5; ++i) {
+    const Identity ident = Identity::generate(net.rng());
+    ASSERT_TRUE(net.join_host(ident, 0).ok);
+    ids.push_back(ident.id());
+    ASSERT_TRUE(net.verify_rings(&err, true)) << "join " << i << ": " << err;
+  }
+  for (const NodeId& id : ids) {
+    net.leave_host(id);
+    ASSERT_TRUE(net.verify_rings(&err, true)) << "leave: " << err;
+  }
+  ASSERT_EQ(net.directory().size(), 1u);
+  ASSERT_TRUE(net.join_host(Identity::generate(net.rng()), 0).ok);
+  EXPECT_TRUE(net.verify_rings(&err, true)) << "rejoin: " << err;
 }
 
 TEST(IntraJoin, SingleHostJoinSucceedsAndRingHolds) {
@@ -474,6 +512,37 @@ TEST(IntraPartition, PopDisconnectAndHeal) {
     const auto src =
         static_cast<NodeIndex>(t.net->rng().index(t.net->router_count()));
     EXPECT_TRUE(t.net->route(src, dest).delivered);
+  }
+}
+
+TEST(IntraPartition, LoneMemberAcceptsJoinsAndRemerges) {
+  // Cutting the last link of a line leaves router 2 alone with its default
+  // vnode.  That lone member must become a self-loop that accepts joins, and
+  // its ring must merge back when the link heals.
+  graph::IspTopology topo = line_isp(3);
+  Network net(&topo, Config{}, 9);
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 6; ++i) {
+    const Identity ident = Identity::generate(net.rng());
+    ASSERT_TRUE(net.join_host(ident, static_cast<NodeIndex>(i % 2)).ok);
+    ids.push_back(ident.id());
+  }
+  net.map().fail_link(1, 2);
+  net.repair_partitions();
+  std::string err;
+  EXPECT_TRUE(net.verify_rings(&err, true)) << "split: " << err;
+  for (int i = 0; i < 4; ++i) {
+    const Identity ident = Identity::generate(net.rng());
+    EXPECT_TRUE(net.join_host(ident, 2).ok) << "join " << i << " at router 2";
+    ids.push_back(ident.id());
+  }
+  EXPECT_TRUE(net.verify_rings(&err, true)) << "joins: " << err;
+  net.map().restore_link(1, 2);
+  net.repair_partitions();
+  EXPECT_TRUE(net.verify_rings(&err, true)) << "heal: " << err;
+  for (const NodeId& id : ids) {
+    EXPECT_TRUE(net.route(0, id).delivered);
+    EXPECT_TRUE(net.route(2, id).delivered);
   }
 }
 

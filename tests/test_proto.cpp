@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <algorithm>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -21,12 +22,14 @@
 #include <utility>
 #include <vector>
 
+#include "net/mesh.hpp"
 #include "obs/metrics.hpp"
 #include "proto/core.hpp"
 #include "proto/env.hpp"
 #include "proto/ring.hpp"
 #include "util/identity.hpp"
 #include "util/rng.hpp"
+#include "wire/messages.hpp"
 
 namespace rofl::proto {
 namespace {
@@ -263,13 +266,14 @@ struct MiniMesh {
     return true;
   }
 
-  /// Lossless instant delivery on a 0.25 ms virtual clock; returns true on
-  /// quiescence before `limit_ms`.
+  /// Instant delivery on a 0.25 ms virtual clock, losing every frame `drop`
+  /// picks (none when unset); returns true on quiescence before `limit_ms`.
   bool run(double limit_ms = 10'000.0) {
     while (now < limit_ms) {
       std::vector<BusFrame> pending;
       pending.swap(bus);
       for (BusFrame& f : pending) {
+        if (drop && drop(f)) continue;
         cores[f.dst]->on_frame(f.bytes, now);
       }
       for (auto& c : cores) c->tick(now);
@@ -279,28 +283,35 @@ struct MiniMesh {
     return false;
   }
 
-  /// Exact-ring audit over every resident vnode: sorted ids must chain
-  /// succ/pred pointers and owners perfectly.
+  /// Exact-ring audit over every resident vnode, by the checker the live
+  /// meshes use (net::audit_ring): sorted ids must chain succ/pred pointers
+  /// and owners perfectly.
   void expect_exact_ring() const {
-    std::vector<std::pair<NodeId, RouterId>> all;
+    std::vector<std::pair<RouterId, Vnode>> collected;
+    std::vector<std::pair<NodeId, RouterId>> expected;
     for (RouterId r = 0; r < cores.size(); ++r) {
-      for (const auto& [id, v] : cores[r]->vnodes()) all.emplace_back(id, r);
+      for (const auto& [id, v] : cores[r]->vnodes()) {
+        collected.emplace_back(r, v);
+        expected.emplace_back(id, r);
+      }
     }
-    std::sort(all.begin(), all.end());
-    ASSERT_FALSE(all.empty());
-    const std::size_t n = all.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& [id, owner] = all[i];
-      const Vnode& v = cores[owner]->vnodes().at(id);
-      const auto& [sid, sowner] = all[(i + 1) % n];
-      const auto& [pid, powner] = all[(i + n - 1) % n];
-      EXPECT_EQ(v.succ, sid) << "succ of " << id.to_string();
-      EXPECT_EQ(v.succ_owner, sowner) << "succ owner of " << id.to_string();
-      EXPECT_EQ(v.pred, pid) << "pred of " << id.to_string();
-      EXPECT_EQ(v.pred_owner, powner) << "pred owner of " << id.to_string();
-    }
+    ASSERT_FALSE(collected.empty());
+    const net::MeshAuditReport rep =
+        net::audit_ring(collected, std::move(expected));
+    EXPECT_TRUE(rep.ok()) << rep.error_count << " defect(s), first: "
+                          << (rep.errors.empty() ? "" : rep.errors.front());
   }
 
+  [[nodiscard]] std::uint64_t counter(const char* name) const {
+    std::uint64_t sum = 0;
+    for (const auto& e : envs) {
+      sum += e->reg_.counter_value(e->reg_.counter(name));
+    }
+    return sum;
+  }
+
+  /// Loses a frame when it returns true.
+  std::function<bool(const BusFrame&)> drop;
   std::vector<BusFrame> bus;
   std::vector<std::unique_ptr<TestEnv>> envs;
   std::vector<std::unique_ptr<Core>> cores;
@@ -367,6 +378,67 @@ TEST(ProtoCore, CleanLeaveRepairsSurvivingRing) {
   EXPECT_TRUE(mesh.cores[2]->departed());
   EXPECT_TRUE(mesh.cores[2]->vnodes().empty());
   // Survivors re-chain into an exact smaller ring.
+  mesh.expect_exact_ring();
+}
+
+/// The decoded header of a bus frame (every frame on the bus decodes).
+wire::Header header_of(const BusFrame& f) {
+  const auto frame = wire::msg::decode_frame(f.bytes);
+  EXPECT_TRUE(frame.has_value());
+  return frame.has_value() ? frame->header : wire::Header{};
+}
+
+TEST(ProtoCore, JoinReplyCountsOnlyFromTheSplicer) {
+  // While the gateway waits on its splicer (router 0), a redirect carrying
+  // the JoinRequest's nonce arrives from router 7 -- the shape of a stale
+  // reply to an earlier JoinRequest that went elsewhere.  Accepting it would
+  // restart a walk the splicer has already answered.
+  MiniMesh mesh(2);
+  Rng rng(23);
+  mesh.cores[0]->seed(Identity::generate(rng));
+  mesh.cores[1]->enqueue_join(Identity::generate(rng));
+  bool injected = false;
+  mesh.drop = [&](const BusFrame& f) {  // injects, never drops
+    const wire::Header h = header_of(f);
+    if (!injected && h.type == wire::PacketType::kJoinRequest) {
+      injected = true;
+      wire::msg::JoinReply redirect;  // no successors: a redirect
+      redirect.predecessor_host = 0;
+      mesh.bus.push_back(BusFrame{
+          1, wire::msg::encode_control(redirect, NodeId::from_u64(7),
+                                       h.destination, h.trace_id)});
+    }
+    return false;
+  };
+  ASSERT_TRUE(mesh.run());
+  ASSERT_TRUE(injected);
+  EXPECT_EQ(mesh.counter("net.redirects"), 0u);
+  EXPECT_EQ(mesh.cores[1]->joins_completed(), 1u);
+  mesh.expect_exact_ring();
+}
+
+TEST(ProtoCore, JoinRequestNeverAbandonsItsSplicer) {
+  // Every JoinReply is lost for the first 8 s.  The splicers have already
+  // spliced the joiners and hold their cached replies, so each JoinRequest
+  // must keep backing off against its splicer until a reply gets through.
+  // A fresh walk would end at whichever vnode joined in the meantime, and
+  // that router would splice the id a second time.
+  MiniMesh mesh(2);
+  Rng rng(9);
+  mesh.cores[0]->seed(Identity::generate(rng));
+  for (int i = 0; i < 4; ++i) {
+    mesh.cores[i % 2]->enqueue_join(Identity::generate(rng));
+  }
+  mesh.drop = [&mesh](const BusFrame& f) {
+    return mesh.now < 8'000.0 &&
+           header_of(f).type == wire::PacketType::kJoinReply;
+  };
+  ASSERT_TRUE(mesh.run(30'000.0));
+  EXPECT_EQ(mesh.cores[0]->joins_completed() +
+                mesh.cores[1]->joins_completed(),
+            4u);
+  EXPECT_GT(mesh.envs[0]->retries + mesh.envs[1]->retries, 0u);
+  EXPECT_EQ(mesh.envs[0]->exhausted + mesh.envs[1]->exhausted, 0u);
   mesh.expect_exact_ring();
 }
 
