@@ -89,7 +89,8 @@ void ablation_control_path_caching(std::ostream& os) {
       const auto src = static_cast<graph::NodeIndex>(
           net.rng().index(net.router_count()));
       const auto rs = net.route(src, dest);
-      if (rs.delivered && rs.shortest_hops > 0) stretch.add(rs.stretch());
+      const std::uint32_t sp = rs.delivered ? net.shortest_hops(src, dest) : 0;
+      if (sp > 0) stretch.add(rs.stretch(sp));
     }
     double cache_entries = 0.0;
     for (graph::NodeIndex r = 0; r < net.router_count(); ++r) {
@@ -188,7 +189,9 @@ void ablation_data_snooping(std::ostream& os) {
         const auto src = static_cast<graph::NodeIndex>(
             traffic.index(net.router_count()));
         const auto rs = net.route(src, dest);
-        if (rs.delivered && rs.shortest_hops > 0) stretch.add(rs.stretch());
+        const std::uint32_t sp =
+            rs.delivered ? net.shortest_hops(src, dest) : 0;
+        if (sp > 0) stretch.add(rs.stretch(sp));
       }
       pass_stretch[pass] = stretch.mean();
     }

@@ -64,8 +64,10 @@ int main() {
       const auto v = static_cast<graph::NodeIndex>(
           pick.index(net.router_count()));
       if (u == v) continue;
-      const auto rs = net.route(u, net.router(v).router_id());
-      if (rs.delivered && rs.shortest_hops > 0) rofl.add(rs.stretch());
+      const NodeId dest = net.router(v).router_id();
+      const auto rs = net.route(u, dest);
+      const std::uint32_t sp = rs.delivered ? net.shortest_hops(u, dest) : 0;
+      if (sp > 0) rofl.add(rs.stretch(sp));
     }
 
     t.add_row({topo.name, tz.mean(), tz_max, cr.mean_table_size(),

@@ -40,7 +40,8 @@ double measure_stretch(graph::RocketfuelAs which, std::size_t cache_entries,
     const auto src =
         static_cast<graph::NodeIndex>(net.rng().index(net.router_count()));
     const intra::RouteStats rs = net.route(src, dest);
-    if (rs.delivered && rs.shortest_hops > 0) stretch.add(rs.stretch());
+    const std::uint32_t sp = rs.delivered ? net.shortest_hops(src, dest) : 0;
+    if (sp > 0) stretch.add(rs.stretch(sp));
   }
   return stretch.empty() ? 0.0 : stretch.mean();
 }

@@ -52,10 +52,11 @@ int main() {
   //    pointers and caches).  Stretch compares against the IGP shortest
   //    path to the destination's gateway.
   const intra::RouteStats rs = net.route(/*src_router=*/3, bob.id());
+  const std::uint32_t shortest = net.shortest_hops(3, bob.id());
   std::cout << "packet 3 -> bob: "
             << (rs.delivered ? "delivered" : "LOST") << " in "
-            << rs.physical_hops << " hops (shortest " << rs.shortest_hops
-            << ", stretch " << rs.stretch() << ")\n";
+            << rs.physical_hops << " hops (shortest " << shortest
+            << ", stretch " << rs.stretch(shortest) << ")\n";
 
   // 5. Mobility is a non-event: bob detaches and rejoins elsewhere with the
   //    SAME identifier; senders never learn about locations, so nothing at

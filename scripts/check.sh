@@ -26,8 +26,11 @@ cmake --build .bench_build --target rofl_bench -j
 ctest --test-dir .bench_build --output-on-failure
 
 # Datapath bench smoke: short run, but long enough for stable ns/op, and it
-# exercises the JSON trajectory plumbing end to end.
+# exercises the JSON trajectory plumbing end to end.  The pointer cache's
+# hit and evict-on-insert costs are among the figures the docs quote.
 python3 scripts/bench_trajectory.py run --min-time 0.05
+grep -q '"BM_PointerCacheInsertEvict/1024"' BENCH_datapath.json
+grep -q '"BM_PointerCacheBestMatch/1024"' BENCH_datapath.json
 
 # Observability smoke: a small sim with the trace sink + flight recorder on
 # must emit a trace that chrome://tracing / Perfetto would accept, and with
@@ -86,7 +89,8 @@ grep -q '"audit.runs"' build/audit_run1.json
 # violations (the intra.label.* auditor checks are active), its "routes
 # digest" must be byte-identical to the labels-off run of the same seed and
 # schedule, and a same-seed labels-on double run must produce byte-identical
-# metrics snapshots.
+# metrics snapshots.  The digest is also pinned, so a forwarding change that
+# moves labels-on and labels-off alike still fails here.
 build/tools/roflsim audit --events 120 --initial-hosts 32 --seed 11 \
   --loss 0.05 --dup 0.02 --labels --metrics-json build/labels_run1.json \
   > build/labels_out1.txt
@@ -101,6 +105,7 @@ cmp <(grep 'routes digest' build/labels_out1.txt) \
     <(grep 'routes digest' build/labels_out2.txt)
 cmp <(grep 'routes digest' build/labels_out1.txt) \
     <(grep 'routes digest' build/labels_off.txt)
+grep -q 'routes digest.*fnv=19b882c9a49ae42a' build/labels_out1.txt
 grep -q '"labels.installed"' build/labels_run1.json
 grep -q '"labels.hits"' build/labels_run1.json
 

@@ -23,9 +23,11 @@ graph::NodeIndex live_router(const intra::Network& net, std::uint64_t pick) {
   return graph::kInvalidNode;
 }
 
-/// FNV-1a 64 over a route outcome's raw fields; trace_id is excluded so the
-/// digest is identical whether or not a flight recorder is installed.
-std::uint64_t fnv_route(std::uint64_t h, const intra::RouteStats& rs) {
+/// FNV-1a 64 over a route outcome's raw fields and the stretch oracle's
+/// shortest hop count for the same pair; trace_id is excluded so the digest
+/// is identical whether or not a flight recorder is installed.
+std::uint64_t fnv_route(std::uint64_t h, const intra::RouteStats& rs,
+                        std::uint32_t shortest_hops) {
   const auto mix = [&h](const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     for (std::size_t i = 0; i < n; ++i) {
@@ -37,7 +39,7 @@ std::uint64_t fnv_route(std::uint64_t h, const intra::RouteStats& rs) {
   mix(&delivered, sizeof(delivered));
   mix(&rs.physical_hops, sizeof(rs.physical_hops));
   mix(&rs.ring_hops, sizeof(rs.ring_hops));
-  mix(&rs.shortest_hops, sizeof(rs.shortest_hops));
+  mix(&shortest_hops, sizeof(shortest_hops));
   mix(&rs.latency_ms, sizeof(rs.latency_ms));
   return h;
 }
@@ -126,7 +128,8 @@ struct ChurnRunner {
           ++res->routes;
           const intra::RouteStats rs = net->route(src, dest);
           if (rs.delivered) ++res->delivered;
-          routes_fnv = fnv_route(routes_fnv, rs);
+          routes_fnv =
+              fnv_route(routes_fnv, rs, net->shortest_hops(src, dest));
         }
         return;
       }

@@ -1238,11 +1238,6 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
         .chased = chased});
   };
   rec(obs::HopKind::kStart, src_router, dest);
-  // Oracle: the IGP distance to the destination's hosting router, for the
-  // stretch metric.  Not consulted by forwarding.
-  if (const auto host = hosting_router(dest)) {
-    stats.shortest_hops = map_->hop_distance(src_router, *host).value_or(0);
-  }
 
   // Label-switched fast path (DESIGN.md section 15): an installed flow is
   // served off per-hop labels; a miss or torn-down flow falls back to the
@@ -1274,8 +1269,11 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
 
   for (std::uint32_t step = 0; step < cfg_.max_forwarding_hops; ++step) {
     Router& r = *routers_[cur];
+    // Algorithm 2's VN.best_match comes first: the one descent that finds
+    // the closest known ID also answers whether dest is resident here.
+    const std::optional<Candidate> vn = r.vn_best_match(dest);
     // Delivery checks: resident vnode, or ephemeral backpointer here.
-    if (r.hosts(dest)) {
+    if (r.hosts(dest, vn)) {
       stats.delivered = true;
       sim_.metrics().add(delivered_id_);
       rec(obs::HopKind::kDeliver, cur, dest);
@@ -1357,7 +1355,6 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
     }
 
     // Algorithm 2: best resident/successor candidate vs best cached pointer.
-    const std::optional<Candidate> vn = r.vn_best_match(dest);
     std::optional<Candidate> cached;
     if (const CacheEntry* e = r.cache().best_match(dest);
         e != nullptr && map_->route_valid(e->path, e->route_up_at)) {
@@ -1644,6 +1641,16 @@ std::optional<NodeIndex> Network::hosting_router(const NodeId& id) const {
   const auto it = directory_.find(id);
   if (it == directory_.end()) return std::nullopt;
   return it->second;
+}
+
+std::uint32_t Network::shortest_hops(NodeIndex src_router,
+                                     const NodeId& dest) const {
+  if (src_router >= routers_.size() || !topo_->graph.node_up(src_router)) {
+    return 0;
+  }
+  const auto host = hosting_router(dest);
+  if (!host.has_value()) return 0;
+  return map_->hop_distance(src_router, *host).value_or(0);
 }
 
 bool Network::verify_rings(std::string* err, bool strict) const {

@@ -13,7 +13,9 @@
 //                        successor groups, and cache pointers along control
 //                        paths;
 //   * route           -- Algorithm 2: per-router greedy forwarding over
-//                        resident virtual nodes and pointer caches;
+//                        resident virtual nodes and pointer caches.  It
+//                        keeps no oracle bookkeeping: stretch callers ask
+//                        shortest_hops in the oracle section;
 //   * fail_host       -- session timeout; teardown messages to successors /
 //                        predecessors plus the directed flood that clears
 //                        cached state (section 3.2, "Host failure");
@@ -166,9 +168,11 @@ class Network {
 
   // -- data plane -----------------------------------------------------------
   /// Algorithm 2 forwarding from `src_router` toward flat label `dest`.
-  /// With a flight recorder installed, every forwarding decision is recorded
-  /// under `trace_id` (0 = allocate a fresh id); the id used lands in
-  /// RouteStats::trace_id.
+  /// Each hop makes one greedy-index descent, which also decides delivery,
+  /// and one pointer-cache best match; stretch is not computed here (see
+  /// shortest_hops).  With a flight recorder installed, every forwarding
+  /// decision is recorded under `trace_id` (0 = allocate a fresh id); the id
+  /// used lands in RouteStats::trace_id.
   RouteStats route(NodeIndex src_router, const NodeId& dest,
                    std::uint64_t trace_id = 0);
 
@@ -251,6 +255,12 @@ class Network {
     return directory_;
   }
   [[nodiscard]] std::optional<NodeIndex> hosting_router(const NodeId& id) const;
+  /// The stretch oracle: IGP hop count from `src_router` to the router
+  /// hosting `dest`, the denominator of RouteStats::stretch.  0 when the
+  /// source is down or out of range, `dest` is not live, or no path exists.
+  /// route() never asks it; callers that report stretch do.
+  [[nodiscard]] std::uint32_t shortest_hops(NodeIndex src_router,
+                                            const NodeId& dest) const;
 
   /// Checks ring invariant 1 of DESIGN.md: within every connected component,
   /// the stable vnodes form one correctly-ordered ring (successor0 of each

@@ -19,26 +19,23 @@ std::size_t PointerCache::index_find(const NodeId& id) const {
 }
 
 void PointerCache::lru_unlink(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (s.lru_prev != kNil) {
-    slots_[s.lru_prev].lru_next = s.lru_next;
+  LruLink& l = lru_[slot];
+  if (l.prev != kNil) {
+    lru_[l.prev].next = l.next;
   } else {
-    lru_head_ = s.lru_next;
+    lru_head_ = l.next;
   }
-  if (s.lru_next != kNil) {
-    slots_[s.lru_next].lru_prev = s.lru_prev;
+  if (l.next != kNil) {
+    lru_[l.next].prev = l.prev;
   } else {
-    lru_tail_ = s.lru_prev;
+    lru_tail_ = l.prev;
   }
-  s.lru_prev = kNil;
-  s.lru_next = kNil;
+  l = LruLink{};
 }
 
 void PointerCache::lru_push_front(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.lru_prev = kNil;
-  s.lru_next = lru_head_;
-  if (lru_head_ != kNil) slots_[lru_head_].lru_prev = slot;
+  lru_[slot] = LruLink{kNil, lru_head_};
+  if (lru_head_ != kNil) lru_[lru_head_].prev = slot;
   lru_head_ = slot;
   if (lru_tail_ == kNil) lru_tail_ = slot;
 }
@@ -55,9 +52,9 @@ void PointerCache::insert(const NodeId& id, NodeIndex host, SourceRoute path) {
   if (pos < index_.size() && index_[pos].id == id) {
     // Refresh in place.
     const std::uint32_t slot = index_[pos].slot;
-    slots_[slot].entry.host = host;
-    slots_[slot].entry.path = std::move(path);
-    slots_[slot].entry.route_up_at = 0;
+    slots_[slot].host = host;
+    slots_[slot].path = std::move(path);
+    slots_[slot].route_up_at = 0;
     touch(slot);
     return;
   }
@@ -68,8 +65,9 @@ void PointerCache::insert(const NodeId& id, NodeIndex host, SourceRoute path) {
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
+    lru_.emplace_back();
   }
-  slots_[slot].entry = CacheEntry{id, host, std::move(path)};
+  slots_[slot] = CacheEntry{id, host, std::move(path)};
   index_.insert(index_.begin() + static_cast<std::ptrdiff_t>(pos),
                 IndexEntry{id, slot});
   lru_push_front(slot);
@@ -93,19 +91,19 @@ const CacheEntry* PointerCache::best_match(const NodeId& dest) {
   ++hits_;
   const std::uint32_t slot = index_[pos].slot;
   touch(slot);
-  return &slots_[slot].entry;
+  return &slots_[slot];
 }
 
 const CacheEntry* PointerCache::find(const NodeId& id) const {
   const std::size_t pos = index_find(id);
   if (pos == index_.size()) return nullptr;
-  return &slots_[index_[pos].slot].entry;
+  return &slots_[index_[pos].slot];
 }
 
 void PointerCache::erase_at(std::size_t index_pos) {
   const std::uint32_t slot = index_[index_pos].slot;
   lru_unlink(slot);
-  slots_[slot].entry = CacheEntry{};  // release the path's heap buffer
+  slots_[slot] = CacheEntry{};  // release the path's heap buffer
   free_slots_.push_back(slot);
   index_.erase(index_.begin() + static_cast<std::ptrdiff_t>(index_pos));
 }
@@ -120,7 +118,7 @@ void PointerCache::erase(const NodeId& id) {
 void PointerCache::evict_lru() {
   if (lru_tail_ == kNil) return;
   const std::uint32_t victim = lru_tail_;
-  const std::size_t pos = index_find(slots_[victim].entry.id);
+  const std::size_t pos = index_find(slots_[victim].id);
   erase_at(pos);
   ++evictions_;
 }
@@ -128,7 +126,7 @@ void PointerCache::evict_lru() {
 void PointerCache::invalidate_through_router(NodeIndex router) {
   std::vector<NodeId> dead;
   for (const IndexEntry& ie : index_) {
-    const SourceRoute& p = slots_[ie.slot].entry.path;
+    const SourceRoute& p = slots_[ie.slot].path;
     if (std::find(p.begin(), p.end(), router) != p.end()) {
       dead.push_back(ie.id);
     }
@@ -139,7 +137,7 @@ void PointerCache::invalidate_through_router(NodeIndex router) {
 void PointerCache::invalidate_through_link(NodeIndex u, NodeIndex v) {
   std::vector<NodeId> dead;
   for (const IndexEntry& ie : index_) {
-    const SourceRoute& p = slots_[ie.slot].entry.path;
+    const SourceRoute& p = slots_[ie.slot].path;
     for (std::size_t i = 0; i + 1 < p.size(); ++i) {
       if ((p[i] == u && p[i + 1] == v) || (p[i] == v && p[i + 1] == u)) {
         dead.push_back(ie.id);
@@ -153,6 +151,7 @@ void PointerCache::invalidate_through_link(NodeIndex u, NodeIndex v) {
 void PointerCache::clear() {
   stale_drops_ += index_.size();
   slots_.clear();
+  lru_.clear();
   free_slots_.clear();
   index_.clear();
   lru_head_ = kNil;
@@ -169,17 +168,18 @@ bool PointerCache::invariants_ok() const {
   for (std::size_t i = 0; i < index_.size(); ++i) {
     if (i > 0 && !(index_[i - 1].id < index_[i].id)) return false;
     if (index_[i].slot >= slots_.size()) return false;
-    if (slots_[index_[i].slot].entry.id != index_[i].id) return false;
+    if (slots_[index_[i].slot].id != index_[i].id) return false;
   }
-  // LRU chain: consistent back-links, visits exactly the indexed slots.
+  // LRU chain over the link array: one record per slab slot, consistent
+  // back-links, visits exactly the indexed slots.
+  if (lru_.size() != slots_.size()) return false;
   std::vector<bool> indexed(slots_.size(), false);
   for (const IndexEntry& ie : index_) indexed[ie.slot] = true;
   std::size_t walked = 0;
   std::uint32_t prev = kNil;
-  for (std::uint32_t cur = lru_head_; cur != kNil;
-       cur = slots_[cur].lru_next) {
-    if (cur >= slots_.size() || !indexed[cur]) return false;
-    if (slots_[cur].lru_prev != prev) return false;
+  for (std::uint32_t cur = lru_head_; cur != kNil; cur = lru_[cur].next) {
+    if (cur >= lru_.size() || !indexed[cur]) return false;
+    if (lru_[cur].prev != prev) return false;
     prev = cur;
     if (++walked > index_.size()) return false;  // cycle
   }

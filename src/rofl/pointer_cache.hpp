@@ -8,11 +8,16 @@
 // never live here, so precedence is structural.
 //
 // Layout (flat datapath, DESIGN.md "Datapath performance"): entries live in
-// a slab with stable slot numbers; recency is an intrusive doubly-linked
-// list threaded through the slots (O(1) touch and O(1) unlink, replacing
-// the old tick->id / id->tick double-map whose halves could desynchronize);
-// and a sorted {id, slot} vector provides the binary-search best_match that
-// per-packet forwarding runs.
+// a slab with stable slot numbers; recency is a doubly-linked list over slot
+// numbers (O(1) touch and O(1) unlink, replacing the old tick->id /
+// id->tick double-map whose halves could desynchronize); and a sorted
+// {id, slot} vector provides the binary-search best_match that per-packet
+// forwarding runs.  The list's prev/next links live in their own dense
+// array of 8-byte records, parallel to the slab, rather than in the 56-byte
+// entries: every cache hit relinks the list, rewriting the links of the hit
+// slot and up to three others, and in the dense array those writes share a
+// few cache lines instead of loading a slab line per neighbour.  An entry
+// still costs 64 bytes.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +73,7 @@ class PointerCache {
   /// Calls fn(const CacheEntry&) for every entry in ascending ID order.
   template <typename F>
   void for_each(F&& fn) const {
-    for (const IndexEntry& ie : index_) fn(slots_[ie.slot].entry);
+    for (const IndexEntry& ie : index_) fn(slots_[ie.slot]);
   }
 
   // -- cache-effectiveness accounting (benches) -----------------------------
@@ -83,16 +88,15 @@ class PointerCache {
 
   /// Structural self-check for tests: the sorted index, the slab, and the
   /// LRU list must describe the same entry set, the index must be sorted,
-  /// and the LRU list must be a consistent doubly-linked chain.
+  /// and the link array must be a consistent doubly-linked chain.
   [[nodiscard]] bool invariants_ok() const;
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-  struct Slot {
-    CacheEntry entry;
-    std::uint32_t lru_prev = kNil;  // toward most-recently-used
-    std::uint32_t lru_next = kNil;  // toward least-recently-used
+  struct LruLink {
+    std::uint32_t prev = kNil;  // toward most-recently-used
+    std::uint32_t next = kNil;  // toward least-recently-used
   };
   struct IndexEntry {
     NodeId id;
@@ -111,7 +115,8 @@ class PointerCache {
   void erase_at(std::size_t index_pos);
 
   std::size_t capacity_;
-  std::vector<Slot> slots_;             // slab; slot numbers are stable
+  std::vector<CacheEntry> slots_;       // slab; slot numbers are stable
+  std::vector<LruLink> lru_;            // lru_[s] links slot s; parallel
   std::vector<std::uint32_t> free_slots_;
   std::vector<IndexEntry> index_;       // sorted by id
   std::uint32_t lru_head_ = kNil;       // most recently used

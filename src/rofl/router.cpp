@@ -17,8 +17,11 @@ VirtualNode* Router::add_vnode(VirtualNode vn) {
   if (!inserted) return nullptr;
   // Ephemeral hosts never serve as anyone's successor or predecessor
   // (section 2.2), so they stay out of the greedy index entirely; packets
-  // for them stop at the predecessor's backpointer.
-  if (stored->host_class != HostClass::kEphemeral) {
+  // for them stop at the predecessor's backpointer.  The count keeps
+  // hosts(dest, vn) exact for them.
+  if (stored->host_class == HostClass::kEphemeral) {
+    ++ephemeral_vnodes_;
+  } else {
     index_ptr(id, index_, /*resident=*/true);
     for (const NeighborPtr& s : stored->successors) {
       index_ptr(s.id, s.host, /*resident=*/false);
@@ -28,7 +31,10 @@ VirtualNode* Router::add_vnode(VirtualNode vn) {
 }
 
 void Router::remove_vnode(const NodeId& id) {
-  if (!vnodes_.erase(id)) return;
+  const VirtualNode* vn = vnodes_.find(id);
+  if (vn == nullptr) return;
+  if (vn->host_class == HostClass::kEphemeral) --ephemeral_vnodes_;
+  vnodes_.erase(id);
   // Full rebuild keeps the resident flag exact even when the removed ID was
   // also some co-resident vnode's successor.
   reindex_vnode(id);
@@ -76,14 +82,14 @@ void Router::eytz_fill(std::size_t& next_sorted, std::size_t k) const {
   if (k >= eytz_ids_.size()) return;
   eytz_fill(next_sorted, 2 * k);
   eytz_ids_[k] = known_ids_[next_sorted];
-  eytz_pos_[k] = static_cast<std::uint32_t>(next_sorted);
-  ++next_sorted;
+  eytz_ptrs_[k] = known_ptrs_[next_sorted];
+  if (++next_sorted == known_ids_.size()) eytz_last_ = k;
   eytz_fill(next_sorted, 2 * k + 1);
 }
 
 void Router::rebuild_eytzinger() const {
   eytz_ids_.resize(known_ids_.size() + 1);
-  eytz_pos_.resize(known_ids_.size() + 1);
+  eytz_ptrs_.resize(known_ids_.size() + 1);
   std::size_t next_sorted = 0;
   eytz_fill(next_sorted, 1);
   eytz_dirty_ = false;
@@ -108,9 +114,8 @@ std::optional<Candidate> Router::vn_best_match(const NodeId& dest) const {
     best = le ? k : best;
     k = 2 * k + static_cast<std::size_t>(le);
   }
-  const std::size_t pos = (best == 0) ? n - 1 : eytz_pos_[best];
-  const IndexedPtr& p = known_ptrs_[pos];
-  return Candidate{known_ids_[pos], p.host, p.resident};
+  const std::size_t e = (best == 0) ? eytz_last_ : best;
+  return Candidate{t[e], eytz_ptrs_[e].host, eytz_ptrs_[e].resident};
 }
 
 bool Router::hosts(const NodeId& dest) const { return vnodes_.contains(dest); }
@@ -139,16 +144,16 @@ void Router::index_ptr(const NodeId& id, NodeIndex host, bool resident) {
   const std::size_t pos = static_cast<std::size_t>(it - known_ids_.begin());
   if (it != known_ids_.end() && *it == id) {
     IndexedPtr& p = known_ptrs_[pos];
-    ++p.refs;
     if (resident) {
       p.resident = true;
       p.host = host;
+      eytz_dirty_ = true;  // the mirror carries values too
     }
     return;
   }
   known_ids_.insert(it, id);
   known_ptrs_.insert(known_ptrs_.begin() + static_cast<std::ptrdiff_t>(pos),
-                     IndexedPtr{host, resident, 1});
+                     IndexedPtr{host, resident});
   eytz_dirty_ = true;  // sorted positions shifted; mirror rebuilt on lookup
 }
 

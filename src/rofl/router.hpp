@@ -5,12 +5,16 @@
 // resident host ID, backpointer state for ephemeral hosts, and a bounded
 // pointer cache.  The router keeps a sorted index of every ID it can make
 // greedy progress toward (resident IDs plus all their successors); Algorithm
-// 2's VN.best_match is a lookup in that index.
+// 2's VN.best_match is a lookup in that index.  Every non-ephemeral resident
+// ID is in the index and flagged resident, so the same lookup answers
+// "is dest hosted here?": hosts(dest, vn_best_match(dest)) equals
+// hosts(dest), and reads the vnode table only on a router that holds
+// ephemeral vnodes (which stay out of the index).
 //
 // All per-router tables are flat sorted vectors (util::FlatMap and a
 // struct-of-arrays greedy index) rather than red-black trees: the
-// per-packet operations -- hosts(), vn_best_match(), ephemeral_gateway() --
-// are binary searches over contiguous keys, while the O(n) insertion
+// per-packet operations -- vn_best_match(), ephemeral_gateway() -- are
+// searches over contiguous keys, while the O(n) insertion
 // memmove only runs on ring maintenance.  Mutating the vnode table
 // (add/remove_vnode) invalidates VirtualNode pointers previously returned
 // by find_vnode/add_vnode, like any vector.
@@ -105,6 +109,15 @@ class Router {
 
   /// True if `dest` is a resident (non-default) ID or the router's own ID.
   [[nodiscard]] bool hosts(const NodeId& dest) const;
+  /// hosts(dest) from `vn`, this router's vn_best_match(dest): the descent
+  /// lands on dest itself, flagged resident, exactly when a non-ephemeral
+  /// vnode holds it.  Only a router holding ephemeral vnodes also searches
+  /// the vnode table.  Route() uses this, one descent per hop.
+  [[nodiscard]] bool hosts(const NodeId& dest,
+                           const std::optional<Candidate>& vn) const {
+    if (vn.has_value() && vn->resident && vn->id == dest) return true;
+    return ephemeral_vnodes_ != 0 && hosts(dest);
+  }
 
   /// Finds the resident vnode that is `id`'s predecessor, i.e. a vnode v
   /// with id in (v.id, v.successor0.id].  Used to terminate join routing.
@@ -133,34 +146,36 @@ class Router {
   NodeIndex index_;
   Identity identity_;
   VnodeTable vnodes_;
+  std::size_t ephemeral_vnodes_ = 0;  // resident vnodes of class kEphemeral
   EphemeralTable ephemerals_;
   PointerCache cache_;
   LabelTable labels_;
   std::uint64_t traversals_ = 0;
 
   // Greedy index over {resident IDs} U {their successors}, kept sorted by
-  // ID.  Struct-of-arrays: vn_best_match searches the contiguous key vector
-  // (the per-packet hot loop) and only dereferences the value lane once, at
-  // the final position.  Values carry a refcount because several vnodes can
-  // share a successor ID.
+  // ID.  Struct-of-arrays: mutation edits the sorted key and value lanes;
+  // vn_best_match reads only the Eytzinger mirror below.
   struct IndexedPtr {
     NodeIndex host;
     bool resident;
-    int refs;
   };
   std::vector<NodeId> known_ids_;
   std::vector<IndexedPtr> known_ptrs_;
 
-  // Eytzinger (BFS-order) mirror of known_ids_, rebuilt lazily on the first
-  // lookup after a mutation: node k's children sit at 2k/2k+1, so each probe
-  // level shares cache lines and the next level can be prefetched while the
-  // current compare retires.  eytz_pos_[k] maps back to the sorted position.
-  // Lazy rebuild mutates these under a const lookup; Router lookups are not
-  // thread-safe (routers are per-simulation objects, never shared).
+  // Eytzinger (BFS-order) mirror of the index, rebuilt lazily on the first
+  // lookup after a mutation (a new ID, or a successor ID turning resident):
+  // node k's children sit at 2k/2k+1, so each probe level shares cache lines
+  // and the next level can be prefetched while the current compare retires.
+  // eytz_ptrs_[k] carries node k's host and resident flag, so the descent
+  // answers from the node it stopped at, with one more load, rather than
+  // mapping back into the sorted lanes.  Lazy rebuild mutates these under a
+  // const lookup; Router lookups are not thread-safe (routers are
+  // per-simulation objects, never shared).
   void rebuild_eytzinger() const;
   void eytz_fill(std::size_t& next_sorted, std::size_t k) const;
-  mutable std::vector<NodeId> eytz_ids_;        // 1-indexed; [0] unused
-  mutable std::vector<std::uint32_t> eytz_pos_;
+  mutable std::vector<NodeId> eytz_ids_;       // 1-indexed; [0] unused
+  mutable std::vector<IndexedPtr> eytz_ptrs_;  // parallel to eytz_ids_
+  mutable std::size_t eytz_last_ = 0;          // node of the largest ID
   mutable bool eytz_dirty_ = false;
 };
 

@@ -96,19 +96,23 @@ struct JoinStats {
   double latency_ms = 0.0;     // completion time (parallel messages overlap)
 };
 
-/// Outcome of routing one data packet (figures 6a/6b).
+/// Outcome of routing one data packet (figures 6a/6b).  Holds only what
+/// forwarding itself produced: the IGP shortest path that stretch divides by
+/// is an oracle question the caller asks Network::shortest_hops, so routes
+/// nobody measures stretch for do not pay for it.
 struct RouteStats {
   bool delivered = false;
   std::uint32_t physical_hops = 0;  // router-level hops traversed
   std::uint32_t ring_hops = 0;      // pointer switches en route
   double latency_ms = 0.0;
-  std::uint32_t shortest_hops = 0;  // IGP shortest path for the same pair
   /// Flight-recorder id of this packet (0 when no recorder was installed);
   /// pass it to FlightRecorder::format_trace, or to InterNetwork::route to
   /// stitch an intradomain leg onto an interdomain flight.
   std::uint64_t trace_id = 0;
 
-  [[nodiscard]] double stretch() const {
+  /// physical_hops over the oracle's `shortest_hops` for the same pair; 0
+  /// when the packet was lost or the oracle knows no path.
+  [[nodiscard]] double stretch(std::uint32_t shortest_hops) const {
     if (!delivered || shortest_hops == 0) return 0.0;
     return static_cast<double>(physical_hops) /
            static_cast<double>(shortest_hops);

@@ -102,7 +102,8 @@ TEST(IntraDeterminism, ParallelSpfReproducesSerialRunExactly) {
     EXPECT_EQ(sa.delivered, sb.delivered);
     EXPECT_EQ(sa.physical_hops, sb.physical_hops);
     EXPECT_EQ(sa.ring_hops, sb.ring_hops);
-    EXPECT_EQ(sa.shortest_hops, sb.shortest_hops);
+    EXPECT_EQ(a.net->shortest_hops(src, ids_a[i]),
+              b.net->shortest_hops(src, ids_b[i]));
   }
 
   // Figure CSVs derive from these counters; they must match category by
@@ -285,7 +286,9 @@ TEST(IntraRoute, CacheReducesStretch) {
       const auto src =
           static_cast<NodeIndex>(t.net->rng().index(t.net->router_count()));
       const RouteStats rs = t.net->route(src, dest);
-      if (rs.delivered && rs.shortest_hops > 0) stretch.add(rs.stretch());
+      const std::uint32_t sp =
+          rs.delivered ? t.net->shortest_hops(src, dest) : 0;
+      if (sp > 0) stretch.add(rs.stretch(sp));
     }
     return stretch.mean();
   };
@@ -303,8 +306,9 @@ TEST(IntraRoute, StretchIsAtLeastOne) {
     const auto src =
         static_cast<NodeIndex>(t.net->rng().index(t.net->router_count()));
     const RouteStats rs = t.net->route(src, dest);
-    if (rs.delivered && rs.shortest_hops > 0) {
-      EXPECT_GE(rs.stretch(), 1.0);
+    const std::uint32_t sp = rs.delivered ? t.net->shortest_hops(src, dest) : 0;
+    if (sp > 0) {
+      EXPECT_GE(rs.stretch(sp), 1.0);
     }
   }
 }
@@ -318,6 +322,19 @@ TEST(IntraEphemeral, JoinAndRoute) {
   EXPECT_TRUE(t.net->verify_rings(&err)) << err;
   const RouteStats rs = t.net->route(9, eid);
   EXPECT_TRUE(rs.delivered);
+}
+
+TEST(IntraEphemeral, DeliveredAtItsOwnGatewayWithoutHops) {
+  // Ephemeral vnodes stay out of the greedy index, so the one-descent
+  // delivery check must still find one resident at the router a packet
+  // starts from, rather than detouring via the predecessor's backpointer.
+  TestNet t;
+  t.join_many(30);
+  const NodeId eid = t.join(4, HostClass::kEphemeral);
+  const RouteStats rs = t.net->route(4, eid);
+  EXPECT_TRUE(rs.delivered);
+  EXPECT_EQ(rs.physical_hops, 0u);
+  EXPECT_EQ(rs.ring_hops, 0u);
 }
 
 TEST(IntraEphemeral, NeverAppearsInSuccessorLists) {
@@ -667,8 +684,9 @@ TEST(IntraLeave, EphemeralLeaveRemovesBackpointerEverywhere) {
 
 // Golden route outcomes.  A fixed-seed ISP map, a join storm, host
 // departures and three batches of routes fold every JoinStats and RouteStats
-// field (latencies by bit pattern), the per-category message counters and
-// the cache totals into one FNV-1a digest.  The pinned constants were
+// field (latencies by bit pattern), each route's stretch-oracle hop count,
+// the per-category message counters and the cache totals into one FNV-1a
+// digest.  The pinned constants were
 // produced by this body on the simulator before its first-hop table, the
 // stamped source-route check and the two-slot candidate pair: a forwarding
 // change that moves any decision, hop, latency or counter moves a digest.
@@ -686,12 +704,14 @@ class GoldenDigest {
     add(js.messages);
     add(js.latency_ms);
   }
-  void add(const RouteStats& rs) {
+  /// A route outcome and the stretch oracle's answer for the same pair,
+  /// folded where RouteStats once carried it.
+  void add(const RouteStats& rs, std::uint32_t shortest_hops) {
     add(std::uint64_t{rs.delivered});
     add(std::uint64_t{rs.physical_hops});
     add(std::uint64_t{rs.ring_hops});
     add(rs.latency_ms);
-    add(std::uint64_t{rs.shortest_hops});
+    add(std::uint64_t{shortest_hops});
     add(rs.trace_id);
   }
   [[nodiscard]] std::uint64_t value() const { return h_; }
@@ -734,7 +754,8 @@ std::uint64_t golden_route_digest(Config cfg, bool faulty) {
     for (std::size_t i = 0; i < 300; ++i) {
       const auto src =
           static_cast<NodeIndex>(net.rng().index(net.router_count()));
-      d.add(net.route(src, ids[net.rng().index(ids.size())]));
+      const NodeId& dest = ids[net.rng().index(ids.size())];
+      d.add(net.route(src, dest), net.shortest_hops(src, dest));
     }
   };
   route_batch();

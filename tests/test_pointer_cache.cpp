@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <optional>
+#include <vector>
+
 namespace rofl::intra {
 namespace {
 
@@ -131,12 +137,81 @@ TEST(PointerCache, HitMissAccounting) {
   EXPECT_EQ(pc.hits(), 1u);
 }
 
+/// Reference recency model for the hammer below: a std::list of ids, most
+/// recently used first, beside an ordered id -> path map.  It follows the
+/// cache's documented contract, not its layout.
+class LruModel {
+ public:
+  explicit LruModel(std::size_t capacity) : capacity_(capacity) {}
+
+  void insert(const NodeId& key, const SourceRoute& path) {
+    if (capacity_ == 0) return;
+    if (entries_.contains(key)) recency_.remove(key);
+    entries_[key] = path;
+    recency_.push_front(key);
+    if (entries_.size() > capacity_) evict();
+  }
+  std::optional<NodeId> best_match(const NodeId& dest) {
+    if (entries_.empty()) {
+      ++misses_;
+      return std::nullopt;
+    }
+    auto it = entries_.upper_bound(dest);
+    it = it == entries_.begin() ? std::prev(entries_.end()) : std::prev(it);
+    ++hits_;
+    recency_.remove(it->first);
+    recency_.push_front(it->first);
+    return it->first;
+  }
+  void erase(const NodeId& key) {
+    if (entries_.erase(key) != 0) recency_.remove(key);
+  }
+  template <typename Pred>
+  void erase_if(Pred dead) {
+    std::erase_if(entries_, [&](const auto& kv) { return dead(kv.second); });
+    recency_.remove_if([&](const NodeId& k) { return !entries_.contains(k); });
+  }
+  void clear() {
+    entries_.clear();
+    recency_.clear();
+  }
+  void set_capacity(std::size_t capacity) {
+    capacity_ = capacity;
+    while (entries_.size() > capacity_) evict();
+  }
+
+  [[nodiscard]] std::vector<NodeId> ids() const {
+    std::vector<NodeId> out;
+    for (const auto& [k, path] : entries_) out.push_back(k);
+    return out;
+  }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  void evict() {
+    entries_.erase(recency_.back());
+    recency_.pop_back();
+    ++evictions_;
+  }
+
+  std::size_t capacity_;
+  std::map<NodeId, SourceRoute> entries_;
+  std::list<NodeId> recency_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+};
+
 TEST(PointerCache, LruChainSurvivesInsertTouchEvictHammer) {
   // Regression for the old two-map (tick->id / id->tick) bookkeeping, whose
-  // halves could desynchronize: hammer insert/touch/evict/erase cycles and
-  // check the slab, sorted index, and intrusive LRU chain agree after every
-  // mutation.
+  // halves could desynchronize: hammer every mutation the cache has and
+  // check after each one that the slab, sorted index and LRU link array
+  // agree (invariants_ok) and that the entry set, hit/miss counts and every
+  // LRU victim match a reference recency list.
   PointerCache pc(16);
+  LruModel model(16);
   std::uint64_t x = 42;
   const auto next = [&x] {  // xorshift; deterministic and seedless
     x ^= x << 13;
@@ -144,24 +219,72 @@ TEST(PointerCache, LruChainSurvivesInsertTouchEvictHammer) {
     x ^= x << 17;
     return x;
   };
-  for (int iter = 0; iter < 5000; ++iter) {
+  const auto random_path = [&next] {
+    SourceRoute p;
+    const std::uint64_t len = 1 + next() % 4;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      p.push_back(static_cast<NodeIndex>(next() % 8));
+    }
+    return p;
+  };
+  const auto cache_ids = [&pc] {
+    std::vector<NodeId> out;
+    pc.for_each([&out](const CacheEntry& e) { out.push_back(e.id); });
+    return out;
+  };
+  for (int iter = 0; iter < 20000; ++iter) {
     const NodeId key = id(next() % 64);
-    switch (next() % 4) {
-      case 0:
-        pc.insert(key, static_cast<NodeIndex>(next() % 8), {0, 1});
-        break;
-      case 1:
-        (void)pc.best_match(key);  // touch
-        break;
-      case 2:
-        pc.erase(key);
-        break;
-      case 3:
-        (void)pc.find(key);  // must not disturb LRU state
-        break;
+    const std::uint64_t op = next() % 32;
+    if (op < 10) {
+      const SourceRoute path = random_path();
+      pc.insert(key, static_cast<NodeIndex>(next() % 8), path);
+      model.insert(key, path);
+    } else if (op < 18) {  // touch
+      const CacheEntry* got = pc.best_match(key);
+      const std::optional<NodeId> want = model.best_match(key);
+      ASSERT_EQ(got == nullptr, !want.has_value()) << "iteration " << iter;
+      if (got != nullptr) {
+        ASSERT_EQ(got->id, *want) << "iteration " << iter;
+      }
+    } else if (op < 22) {
+      pc.erase(key);
+      model.erase(key);
+    } else if (op < 25) {  // must not disturb LRU state
+      const std::vector<NodeId> ids = model.ids();
+      ASSERT_EQ(pc.find(key) != nullptr,
+                std::find(ids.begin(), ids.end(), key) != ids.end());
+    } else if (op < 27) {  // shrink (or regrow) under load
+      const std::size_t cap = std::size_t{1} << (next() % 5);
+      pc.set_capacity(cap);
+      model.set_capacity(cap);
+    } else if (op < 29) {
+      const auto r = static_cast<NodeIndex>(next() % 8);
+      pc.invalidate_through_router(r);
+      model.erase_if([r](const SourceRoute& p) {
+        return std::find(p.begin(), p.end(), r) != p.end();
+      });
+    } else if (op < 31) {
+      const auto u = static_cast<NodeIndex>(next() % 8);
+      const auto v = static_cast<NodeIndex>(next() % 8);
+      pc.invalidate_through_link(u, v);
+      model.erase_if([u, v](const SourceRoute& p) {
+        for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+          if ((p[i] == u && p[i + 1] == v) || (p[i] == v && p[i + 1] == u)) {
+            return true;
+          }
+        }
+        return false;
+      });
+    } else if (next() % 8 == 0) {  // rare: an empty cache tests nothing
+      pc.clear();
+      model.clear();
     }
     ASSERT_TRUE(pc.invariants_ok()) << "iteration " << iter;
     ASSERT_LE(pc.size(), pc.capacity());
+    ASSERT_EQ(cache_ids(), model.ids()) << "iteration " << iter;
+    ASSERT_EQ(pc.hits(), model.hits()) << "iteration " << iter;
+    ASSERT_EQ(pc.misses(), model.misses()) << "iteration " << iter;
+    ASSERT_EQ(pc.evictions(), model.evictions()) << "iteration " << iter;
   }
   // Capacity churn exercises eviction from both full and shrunken states.
   pc.set_capacity(4);

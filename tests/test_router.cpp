@@ -184,6 +184,82 @@ TEST(Router, TraversalCounters) {
   EXPECT_EQ(r.traversals(), 0u);
 }
 
+// route() delivers on hosts(dest, vn_best_match(dest)): one greedy-index
+// descent instead of a second search of the vnode table.  Seeded random
+// tables mixing the default vnode, stable and ephemeral vnodes and
+// successors that are themselves co-resident go through every mutation path
+// (add, remove, successor rewrite + reindex), and after each step the
+// one-descent predicate must equal hosts() for resident IDs, their
+// successors, departed IDs and random IDs.  IDs come from a small universe
+// so co-residency and shared successors are common.
+TEST(Router, OneDescentDeliveryCheckEqualsHosts) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const Identity ident = make_identity(100 + seed);
+    Router r(0, ident, 16);
+    VirtualNode def;
+    def.id = ident.id();
+    def.is_default = true;
+    def.successors.push_back(NeighborPtr{id(rng.below(48)), 3});
+    ASSERT_NE(r.add_vnode(std::move(def)), nullptr);
+
+    const auto random_successors = [&rng] {
+      std::vector<std::pair<std::uint64_t, NodeIndex>> succs;
+      const std::uint64_t k = rng.below(4);
+      for (std::uint64_t i = 0; i < k; ++i) {
+        // Host 0 is this router: a co-resident successor.
+        succs.emplace_back(rng.below(48),
+                           static_cast<NodeIndex>(rng.below(3)));
+      }
+      return succs;
+    };
+    std::vector<NodeId> departed;
+    const auto check = [&](int step) {
+      std::vector<NodeId> probes = departed;
+      for (const auto& [vid, vn] : r.vnodes()) {
+        probes.push_back(vid);
+        for (const NeighborPtr& s : vn.successors) probes.push_back(s.id);
+      }
+      for (int i = 0; i < 8; ++i) probes.push_back(id(rng.below(48)));
+      const std::uint64_t hi = rng.next_u64();
+      probes.emplace_back(hi, rng.next_u64());
+      for (const NodeId& p : probes) {
+        ASSERT_EQ(r.hosts(p, r.vn_best_match(p)), r.hosts(p))
+            << "seed " << seed << " step " << step << " id " << p;
+      }
+    };
+    for (int step = 0; step < 120; ++step) {
+      const std::uint64_t v = rng.below(48);
+      switch (rng.below(5)) {
+        case 0:
+        case 1:
+          (void)r.add_vnode(make_vnode(v, random_successors()));
+          break;
+        case 2:
+          (void)r.add_vnode(
+              make_vnode(v, random_successors(), HostClass::kEphemeral));
+          break;
+        case 3:
+          if (r.hosts(id(v)) && id(v) != ident.id()) {
+            r.remove_vnode(id(v));
+            departed.push_back(id(v));
+          }
+          break;
+        case 4:
+          if (VirtualNode* vn = r.find_vnode(id(v))) {
+            vn->successors.clear();
+            for (const auto& [sid, host] : random_successors()) {
+              vn->successors.push_back(NeighborPtr{id(sid), host});
+            }
+            r.reindex_vnode(vn->id);
+          }
+          break;
+      }
+      check(step);
+    }
+  }
+}
+
 TEST(Router, RouterIdIsSelfCertified) {
   const Identity ident = make_identity(12);
   Router r(4, ident, 16);

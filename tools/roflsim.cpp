@@ -148,6 +148,18 @@ std::uint64_t ranged_num_arg(const Args& a, const std::string& key,
   return v;
 }
 
+/// Upper bound of a count the engines iterate (hosts, routes, churn
+/// operations, IDs, probes): far past any run, and it fits the 32-bit
+/// fields some counts land in (`net --lookups`).
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+/// Upper bound of a count materialised up front (churn events, link flaps):
+/// the schedule is built whole before the first event runs, so a wrapped
+/// count would spend its memory, or abort, right there.
+constexpr std::uint64_t kMaxScheduled = 1'000'000;
+/// Largest generated ISP map: the link-state layer keeps one shortest-path
+/// table per router, so memory grows with the square of this.
+constexpr std::uint64_t kMaxRouters = 4096;
+
 /// Non-negative numeric option (durations, rates-per-second): a negative or
 /// non-finite value exits 2 with usage rather than reaching an engine that
 /// would misbehave quietly (a negative lookahead, say, deadlocks the
@@ -375,7 +387,6 @@ int cmd_intra(const Args& a) {
   const auto topo = isp_from_args(a, rng);
   // Counts are validated whole: "--routes -1" would otherwise wrap to
   // 2^64-1 and never return.  "--cache 0" is legal; it disables caching.
-  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
   intra::Config cfg;
   cfg.cache_capacity = ranged_num_arg(a, "cache", 2048, 0, kMaxCount);
   cfg.enable_labels = a.flag("labels");
@@ -409,7 +420,8 @@ int cmd_intra(const Args& a) {
     if (rs.delivered) {
       ++delivered;
       if (rs.trace_id != 0) last_trace = rs.trace_id;
-      if (rs.shortest_hops > 0) stretch.add(rs.stretch());
+      const std::uint32_t sp = net.shortest_hops(src, dest);
+      if (sp > 0) stretch.add(rs.stretch(sp));
     }
   }
   std::string err;
@@ -455,7 +467,7 @@ int cmd_inter(const Args& a) {
   const auto topo = graph::AsTopology::make_internet_like(gp, rng);
 
   inter::InterConfig cfg;
-  cfg.fingers_per_id = a.num("fingers", 0);
+  cfg.fingers_per_id = ranged_num_arg(a, "fingers", 0, 0, kMaxCount);
   if (a.flag("bloom")) cfg.peering_mode = inter::PeeringMode::kBloom;
 
   const std::string sname = a.str("strategy", "multi");
@@ -472,8 +484,8 @@ int cmd_inter(const Args& a) {
   inter::InterNetwork net(&topo, cfg, seed + 1);
   watch.install(net.simulator());
   if (watch.want_route_dump) net.set_flight_recorder(&watch.recorder);
-  const std::size_t ids = a.num("ids", 1000);
-  const std::size_t routes = a.num("routes", 500);
+  const std::size_t ids = ranged_num_arg(a, "ids", 1000, 0, kMaxCount);
+  const std::size_t routes = ranged_num_arg(a, "routes", 500, 0, kMaxCount);
   SampleSet join_msgs;
   for (std::size_t i = 0; i < ids; ++i) {
     const auto js = net.join_random_host(strategy);
@@ -530,7 +542,8 @@ int cmd_partition(const Args& a) {
   ObsSession watch(a);
   intra::Network net(&topo, intra::Config{}, seed + 1);
   watch.install(net.simulator());
-  const std::size_t per_pop = a.num("ids-per-pop", 50);
+  const std::size_t per_pop =
+      ranged_num_arg(a, "ids-per-pop", 50, 0, kMaxCount);
   for (std::size_t p = 0; p < topo.pop_count(); ++p) {
     for (std::size_t i = 0; i < per_pop; ++i) {
       const auto& members = topo.pops[p];
@@ -585,7 +598,8 @@ int cmd_faults(const Args& a) {
   plan.defaults.duplicate = rate_arg(a, "dup", 0.0);
   plan.defaults.jitter_ms = nonneg_dbl_arg(a, "jitter", 0.0);
   plan.defaults.corrupt = rate_arg(a, "corrupt", 0.0);
-  const std::uint64_t flap_count = a.num("flaps", 0);
+  const std::uint64_t flap_count =
+      ranged_num_arg(a, "flaps", 0, 0, kMaxScheduled);
   std::vector<std::pair<graph::NodeIndex, graph::NodeIndex>> edges;
   for (graph::NodeIndex u = 0; u < topo.graph.node_count(); ++u) {
     for (const auto& e : topo.graph.neighbors(u)) {
@@ -604,8 +618,8 @@ int cmd_faults(const Args& a) {
   net.schedule_fault_plan(plan);
 
   // Workload: joins, then churn with data traffic, all under the plan.
-  const std::size_t hosts = a.num("hosts", 200);
-  const std::size_t churn = a.num("churn", 50);
+  const std::size_t hosts = ranged_num_arg(a, "hosts", 200, 0, kMaxCount);
+  const std::size_t churn = ranged_num_arg(a, "churn", 50, 0, kMaxCount);
   Rng wrng(seed * 9 + 7);
   std::vector<Identity> live;
   std::uint64_t joins_ok = 0, joins_failed = 0;
@@ -714,13 +728,16 @@ int cmd_audit(const Args& a) {
   const std::uint64_t seed = a.num("seed", 1);
 
   audit::ChurnConfig cc;
-  cc.events = a.num("events", 200);
+  cc.events = ranged_num_arg(a, "events", 200, 0, kMaxScheduled);
   cc.end_ms = a.dbl("end", 400.0);
 
   audit::ChurnRunParams params;
-  params.router_count = a.num("routers", 60);
-  params.pop_count = a.num("pops", 8);
-  params.initial_hosts = a.num("initial-hosts", 64);
+  params.router_count = ranged_num_arg(a, "routers", 60, 2, kMaxRouters);
+  params.pop_count = ranged_num_arg(a, "pops", 8, 1, params.router_count);
+  params.initial_hosts =
+      ranged_num_arg(a, "initial-hosts", 64, 0, kMaxCount);
+  const std::uint64_t shrink_probes =
+      ranged_num_arg(a, "shrink-probes", 2000, 0, kMaxCount);
   params.audit_interval_ms = a.dbl("audit-interval", 25.0);
   params.settle_ms = a.dbl("settle", 300.0);
   params.seed = seed;
@@ -803,7 +820,7 @@ int cmd_audit(const Args& a) {
       return r.hard > 0 || !r.converged;
     };
     const audit::ShrinkResult sr = audit::shrink_schedule(
-        schedule, still_fails, a.num("shrink-probes", 2000));
+        schedule, still_fails, shrink_probes);
     std::cout << "minimal schedule: " << sr.events.size() << "/"
               << schedule.size() << " events (" << sr.probes << " probes, "
               << (sr.minimal ? "1-minimal" : "budget exhausted") << ")\n";
@@ -874,8 +891,8 @@ net::MeshConfig mesh_config_from_args(const Args& a) {
     std::cerr << "unknown --backend '" << backend << "' (udp|loopback)\n";
     std::exit(2);
   }
-  cfg.lookups = static_cast<std::uint32_t>(ranged_num_arg(
-      a, "lookups", 0, 0, std::numeric_limits<std::uint32_t>::max()));
+  cfg.lookups =
+      static_cast<std::uint32_t>(ranged_num_arg(a, "lookups", 0, 0, kMaxCount));
   // The departing router is never the bootstrap.
   if (a.kv.contains("leave")) {
     cfg.leave_router = static_cast<std::int32_t>(ranged_num_arg(
