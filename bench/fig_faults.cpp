@@ -84,10 +84,9 @@ FaultSweepResult run_level(double loss, std::uint64_t seed) {
   net.set_fault_injector(&inj);
   net.schedule_fault_plan(plan);
 
-  // Windowed telemetry over the faulty phase (SPF wall-clock histograms
-  // excluded, same rule as the metrics snapshot below).
+  // Windowed telemetry over the faulty phase.
   obs::Timeline timeline(&net.simulator().metrics(),
-                         obs::Timeline::Config{10.0, 4096, {"recompute_ms"}});
+                         obs::Timeline::Config{10.0, 4096});
   net.simulator().set_timeline(&timeline);
 
   const std::size_t hosts = bench::full_scale() ? 600 : 150;

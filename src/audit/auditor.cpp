@@ -133,6 +133,8 @@ AuditReport Auditor::run() {
 }
 
 void Auditor::schedule_every(double interval_ms, double until_ms) {
+  // A step that is not positive never passes the horizon.
+  if (!(interval_ms > 0.0)) return;
   sim::Simulator& sim = driver_sim(net_, inter_);
   for (std::uint64_t k = 1;; ++k) {
     const double t = interval_ms * static_cast<double>(k);

@@ -92,7 +92,7 @@ class Auditor {
   /// Schedules an audit every `interval_ms` of simulated time, from
   /// `interval_ms` up to and including `until_ms`.  Events ride the engine's
   /// own simulator, so audits interleave deterministically with scheduled
-  /// faults and churn.
+  /// faults and churn.  A non-positive interval schedules nothing.
   void schedule_every(double interval_ms, double until_ms);
 
   [[nodiscard]] const std::vector<AuditReport>& reports() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 
 #include "graph/isp_topology.hpp"
 #include "obs/flight_recorder.hpp"
@@ -48,19 +47,6 @@ std::string hex64(std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i, v >>= 4) out[i] = kDigits[v & 0xF];
-  return out;
-}
-
-/// Registry snapshot with wall-clock histogram lines removed.
-std::string scrubbed_metrics(sim::Simulator& sim) {
-  std::istringstream in(sim.metrics().to_json(2));
-  std::string out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("recompute_ms") != std::string::npos) continue;
-    out += line;
-    out += "\n";
-  }
   return out;
 }
 
@@ -233,8 +219,7 @@ ChurnRunResult run_churn(const ChurnRunParams& params,
   if (params.timeline_window_ms > 0.0) {
     timeline.emplace(&net.simulator().metrics(),
                      obs::Timeline::Config{params.timeline_window_ms,
-                                           params.timeline_capacity,
-                                           {"recompute_ms"}});
+                                           params.timeline_capacity});
     net.simulator().set_timeline(&*timeline);
   }
 
@@ -263,7 +248,7 @@ ChurnRunResult run_churn(const ChurnRunParams& params,
 
   // Snapshot before the faults-off repair so two same-seed runs compare the
   // churn phase itself.
-  res.metrics_json = scrubbed_metrics(net.simulator());
+  res.metrics_json = net.simulator().metrics().to_json(2) + "\n";
   if (timeline.has_value()) {
     timeline->flush(net.simulator().now_ms());
     res.timeline_jsonl = timeline->to_jsonl();

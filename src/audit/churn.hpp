@@ -87,8 +87,7 @@ struct ChurnRunParams {
   std::uint64_t seed = 1;
   /// Timeline sampling window on the sim clock; 0 disables the timeline.
   /// The sampler attaches after the initial population, so the series cover
-  /// the churn phase itself, not the setup burst.  Wall-clock histograms
-  /// (recompute_ms) are excluded from the export, mirroring metrics_json.
+  /// the churn phase itself, not the setup burst.
   double timeline_window_ms = 0.0;
   std::size_t timeline_capacity = 4096;
 };
@@ -120,9 +119,8 @@ struct ChurnRunResult {
   /// modes -- label checks change the check counts.
   std::string routes_digest;
   std::vector<AuditReport> reports;
-  /// Registry snapshot taken before the faults-off repair, with wall-clock
-  /// histogram lines scrubbed (they measure host CPU, not simulated
-  /// behavior) so two same-seed runs compare byte-for-byte.
+  /// Registry snapshot taken before the faults-off repair.  The registry
+  /// holds no wall-clock cell, so two same-seed runs compare byte-for-byte.
   std::string metrics_json;
   /// Timeline export (one JSON object per window; empty when the timeline
   /// was disabled).  Deterministic: contains no wall-clock fields.

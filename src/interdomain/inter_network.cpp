@@ -4,6 +4,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "rofl/sim_wire.hpp"
+
 namespace rofl::inter {
 namespace {
 
@@ -359,51 +361,32 @@ InterNetwork::WireExchange InterNetwork::reliable_exchange(
     std::uint64_t msgs, const wire::msg::ControlMessage& m) {
   WireExchange ex;
   // Every AS-level leg of the exchange carries the same typed frame; encode
-  // it once, verify the round trip, and charge its size per transmitted leg.
-  const std::vector<std::uint8_t> frame =
-      wire::msg::encode_control(m, NodeId{}, NodeId{});
-  if (frame.empty()) {
-    // encode_control refused (oversized field): a zero-byte frame is never
-    // transmitted, the exchange fails loudly instead.
-    sim_.metrics().add(encode_failures_id_);
-    return ex;
-  }
-  assert(wire::msg::decode_control(frame).has_value());
-  const std::uint64_t frags = std::max<std::uint64_t>(
-      1, (frame.size() + wire::kDefaultMtu - 1) / wire::kDefaultMtu);
+  // it once and charge its size per transmitted leg.
+  const std::vector<std::uint8_t> frame = simwire::encode(
+      m, NodeId{}, NodeId{}, sim_.metrics(), encode_failures_id_);
+  if (frame.empty()) return ex;
+  const std::uint64_t packets = wire::hop_packets(frame.size());
   if (faults_ == nullptr || !faults_->message_faults_enabled() || msgs == 0) {
-    ex.msgs = msgs * frags;
+    assert(wire::msg::decode_control(frame).has_value());
+    ex.msgs = msgs * packets;
     ex.bytes = msgs * frame.size();
     ex.ok = true;
     return ex;
   }
   // The interdomain model is message-count-abstract, so loss applies per
   // AS-level transmission: an attempt survives only if every one of its
-  // `msgs` legs does.  Lost attempts charge the legs transmitted before the
-  // drop, then back off and retry (InterConfig::retry).  A corrupted frame
-  // is rejected by the receiver's CRC check, which the sender cannot tell
-  // from loss -- same retry path.
-  const unsigned attempts = std::max(1u, cfg_.retry.max_attempts);
-  for (unsigned attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) faults_->note_retry();
-    const sim::PathDecision d = faults_->on_path(msgs);
-    ex.msgs += d.transmissions * frags;
-    ex.bytes += d.transmissions * frame.size();
-    bool delivered = !d.dropped;
-    if (delivered && faults_->corruption_enabled()) {
-      std::vector<std::uint8_t> rx = frame;
-      if (faults_->maybe_corrupt_frame(rx)) {
-        assert(!wire::msg::decode_control(rx).has_value());
-        sim_.metrics().add(codec_rejected_id_);
-        delivered = false;
-      }
-    }
-    if (delivered) {
-      ex.ok = true;
-      return ex;
-    }
-  }
-  faults_->note_retry_exhausted();
+  // `msgs` legs does, and a lost one charges the legs sent before the drop.
+  ex.ok = simwire::retry(cfg_.retry, *faults_, [&] {
+            const sim::PathDecision d = faults_->on_path(msgs);
+            ex.msgs += d.transmissions * packets;
+            ex.bytes += d.transmissions * frame.size();
+            if (d.dropped) return simwire::Delivery::kLost;
+            if (!simwire::receive(frame, faults_).has_value()) {
+              sim_.metrics().add(codec_rejected_id_);
+              return simwire::Delivery::kLost;
+            }
+            return simwire::Delivery::kDelivered;
+          }).outcome == simwire::Delivery::kDelivered;
   return ex;
 }
 

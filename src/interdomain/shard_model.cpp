@@ -165,7 +165,7 @@ ShardScaleModel::ShardScaleModel(const ScaleParams& params)
       [](obs::Registry& reg) { register_metrics(reg, nullptr); });
   if (params_.timeline_window_ms > 0.0) {
     engine_->enable_timeline(obs::Timeline::Config{
-        params_.timeline_window_ms, params_.timeline_capacity, {}});
+        params_.timeline_window_ms, params_.timeline_capacity});
   }
   if (params_.profile) {
     profiler_ = std::make_unique<sim::EngineProfiler>(params_.shards);

@@ -15,9 +15,6 @@ LinkStateMap::LinkStateMap(graph::Graph* g, sim::Simulator* sim)
   if (sim_ != nullptr) {
     obs::Registry& m = sim_->metrics();
     spf_runs_id_ = m.counter("linkstate.spf.runs");
-    spf_recompute_ms_id_ = m.histogram(
-        "linkstate.spf.recompute_ms",
-        obs::Histogram::exponential_bounds(0.01, 2.0, 16));
     flood_fanout_id_ = m.histogram(
         "linkstate.flood.fanout",
         obs::Histogram::exponential_bounds(4.0, 2.0, 14));
@@ -50,10 +47,14 @@ void LinkStateMap::set_spf_threads(std::size_t threads) {
 }
 
 void LinkStateMap::recompute_all_spf() const {
-  // SPF duration is real computation, not virtual time: the wall-clock cost
-  // lands in the "linkstate.spf.recompute_ms" histogram and, when a tracer
-  // is installed, as a span at the current virtual timestamp.
-  const auto wall_start = std::chrono::steady_clock::now();
+  // SPF duration is real computation, not virtual time, so it stays out of
+  // the metrics registry, whose snapshots same-seed runs byte-compare.  With
+  // a tracer installed it lands as a span at the current virtual timestamp;
+  // without one the clock is never read.
+  obs::Tracer* const tracer = sim_ != nullptr ? sim_->tracer() : nullptr;
+  const auto wall_start = tracer != nullptr
+                              ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
   refresh_cache_epoch();
   const std::size_t n = graph_->node_count();
   std::size_t stale = 0;
@@ -62,17 +63,16 @@ void LinkStateMap::recompute_all_spf() const {
   }
   const auto finish = [&] {
     if (sim_ == nullptr) return;
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
     sim_->metrics().add(spf_runs_id_, stale);
-    sim_->metrics().observe(spf_recompute_ms_id_, wall_ms);
-    if (obs::Tracer* t = sim_->tracer()) {
-      t->complete("spf.recompute_all", "linkstate", sim_->now_ms() * 1000.0,
-                  wall_ms * 1000.0, /*track=*/1,
-                  {obs::TraceArg{"sources", std::uint64_t{stale}},
-                   obs::TraceArg{"wall_ms", wall_ms}});
+    if (tracer != nullptr) {
+      const double wall_ms =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - wall_start)
+              .count();
+      tracer->complete("spf.recompute_all", "linkstate",
+                       sim_->now_ms() * 1000.0, wall_ms * 1000.0, /*track=*/1,
+                       {obs::TraceArg{"sources", std::uint64_t{stale}},
+                        obs::TraceArg{"wall_ms", wall_ms}});
     }
   };
   // Deterministic merge: worker i writes only slot i, so the filled cache

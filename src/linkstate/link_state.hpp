@@ -110,9 +110,10 @@ class LinkStateMap {
   /// only on the (shared, read-only) graph, and no listeners fire -- so
   /// routing tables, figure CSVs, and seeded runs are byte-identical to the
   /// serial path regardless of thread count or OS scheduling.  (Metric
-  /// updates happen once, after the pool drains, from the calling thread;
-  /// only the wall-clock SPF-duration histogram is machine-dependent.)  Called by the repair machinery after topology changes;
-  /// on-demand spf() queries then hit warm slots.
+  /// updates happen once, after the pool drains, from the calling thread,
+  /// and the wall-clock duration goes only to an installed tracer.)  Called
+  /// by the repair machinery after topology changes; on-demand spf()
+  /// queries then hit warm slots.
   void recompute_all_spf() const;
 
  private:
@@ -129,7 +130,6 @@ class LinkStateMap {
   // Observability ids in the simulator's registry (unset when sim_ == null):
   // SPF work, flood fan-out, and topology churn.
   obs::MetricId spf_runs_id_ = 0;
-  obs::MetricId spf_recompute_ms_id_ = 0;
   obs::MetricId flood_fanout_id_ = 0;
   obs::MetricId floods_id_ = 0;
   obs::MetricId topo_events_id_ = 0;

@@ -49,7 +49,7 @@ double window_percentile(const std::vector<double>& bounds,
 }  // namespace
 
 Timeline::Timeline(const Registry* registry, Config cfg)
-    : registry_(registry), cfg_(std::move(cfg)) {
+    : registry_(registry), cfg_(cfg) {
   // A zero-width (or NaN/negative) window would make advance_to spin
   // closing windows forever; asserts vanish in Release builds, so sanitize
   // unconditionally back to the documented defaults.
@@ -93,13 +93,6 @@ void Timeline::refresh_names() {
     hist_names_.push_back(registry_->histogram_name(i));
     hist_bounds_.push_back(registry_->histogram_at(i).bounds());
   }
-}
-
-bool Timeline::excluded(const std::string& name) const {
-  for (const std::string& sub : cfg_.exclude) {
-    if (name.find(sub) != std::string::npos) return true;
-  }
-  return false;
 }
 
 void Timeline::advance_to(double t_ms) {
@@ -168,7 +161,7 @@ void Timeline::close_one() {
     const double end_us = static_cast<double>(w.index + 1) * cfg_.window_ms *
                           1000.0;
     for (MetricId i = 0; i < w.counters.size(); ++i) {
-      if (w.counters[i] == 0 || excluded(counter_names_[i])) continue;
+      if (w.counters[i] == 0) continue;
       trace_sink_->counter(counter_names_[i], end_us,
                            static_cast<double>(w.counters[i]), trace_track_);
     }
@@ -298,7 +291,7 @@ std::string Timeline::to_jsonl() const {
        << ", \"counters\": {";
     bool first = true;
     for (std::size_t i = 0; i < w.counters.size(); ++i) {
-      if (w.counters[i] == 0 || excluded(counter_names_[i])) continue;
+      if (w.counters[i] == 0) continue;
       os << (first ? "" : ", ") << "\"";
       json_escape_into(os, counter_names_[i]);
       os << "\": " << w.counters[i];
@@ -307,7 +300,7 @@ std::string Timeline::to_jsonl() const {
     os << "}, \"gauges\": {";
     first = true;
     for (std::size_t i = 0; i < w.gauges.size(); ++i) {
-      if (w.gauges[i] == 0.0 || excluded(gauge_names_[i])) continue;
+      if (w.gauges[i] == 0.0) continue;
       os << (first ? "" : ", ") << "\"";
       json_escape_into(os, gauge_names_[i]);
       os << "\": " << w.gauges[i];
@@ -317,7 +310,7 @@ std::string Timeline::to_jsonl() const {
     first = true;
     for (std::size_t i = 0; i < w.hists.size(); ++i) {
       const HistWindow& hw = w.hists[i];
-      if (hw.count == 0 || excluded(hist_names_[i])) continue;
+      if (hw.count == 0) continue;
       os << (first ? "" : ", ") << "\"";
       json_escape_into(os, hist_names_[i]);
       os << "\": {\"count\": " << hw.count << ", \"sum\": " << hw.sum

@@ -44,10 +44,6 @@ class Timeline {
     /// Shard-count independence of the retained range holds as long as every
     /// per-shard timeline uses the same capacity (they drop identically).
     std::size_t capacity = 4096;
-    /// Metrics whose name contains any of these substrings are omitted from
-    /// exports and series: the escape hatch for wall-clock histograms
-    /// (e.g. SPF "recompute_ms") that would break byte-compare gates.
-    std::vector<std::string> exclude;
   };
 
   /// Per-window histogram activity: count/sum deltas plus per-bucket count
@@ -115,7 +111,7 @@ class Timeline {
   /// One JSON object per line, one line per retained window:
   ///   {"window": N, "t_ms": END, "counters": {...}, "gauges": {...},
   ///    "histograms": {name: {count, sum, p50, p90, p99}}}
-  /// Zero-delta metrics are omitted per window; excluded names never appear.
+  /// Zero-delta metrics are omitted per window.
   /// Contains no wall-clock fields, so two deterministic runs byte-compare.
   [[nodiscard]] std::string to_jsonl() const;
 
@@ -135,7 +131,6 @@ class Timeline {
   void close_through(std::uint64_t target_closed);
   void close_one();
   void refresh_names();
-  [[nodiscard]] bool excluded(const std::string& name) const;
 
   const Registry* registry_;
   Config cfg_;

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "proto/ring.hpp"
+#include "rofl/sim_wire.hpp"
 
 namespace rofl::intra {
 
@@ -84,7 +85,7 @@ void Network::bootstrap_router_ring() {
   // Section 3.1: each router starts a default virtual node holding the
   // router-ID; the default vnode joins by flooding, so after bring-up the
   // router-ID ring is complete.  We materialise the steady state directly
-  // and (optionally) charge one network flood per router for it.  A lone
+  // and, like the paper, charge nothing for router bring-up.  A lone
   // router's default vnode is a self-loop, as proto::Core::seed() installs
   // on the live side -- the ring rules then make it everything's
   // predecessor.
@@ -104,7 +105,6 @@ void Network::bootstrap_router_ring() {
     vn.predecessor = neighbor(ring.predecessor(i));
     routers_[host]->add_vnode(std::move(vn));
     directory_[id] = host;
-    if (cfg_.count_bootstrap) map_->account_flood(sim::MsgCategory::kJoin);
   }
 }
 
@@ -125,74 +125,6 @@ std::vector<proto::CanonicalRing> Network::component_rings() const {
   return rings;
 }
 
-Network::Transfer Network::unicast(NodeIndex a, NodeIndex b,
-                                   sim::MsgCategory cat,
-                                   std::size_t frame_bytes) {
-  Transfer t;
-  if (a == b) {
-    t.ok = true;
-    t.path = {a};
-    return t;
-  }
-  t.path = map_->path(a, b);
-  if (t.path.empty()) return t;
-  if (faults_ != nullptr && faults_->message_faults_enabled()) {
-    return faulty_transfer(std::move(t), cat, frame_bytes);
-  }
-  // A logical message larger than the MTU crosses each link as several
-  // network packets (the paper's 256-finger join charges 2 per hop); byte
-  // counters see the frame size itself.
-  const std::uint64_t frags =
-      std::max<std::size_t>(1, (frame_bytes + wire::kDefaultMtu - 1) /
-                                   wire::kDefaultMtu);
-  const std::uint64_t hops = t.path.size() - 1;
-  t.ok = true;
-  t.messages = hops * frags;
-  t.latency_ms = map_->latency_ms(a, b).value_or(0.0);
-  sim_.counters().add(cat, t.messages);
-  sim_.counters().add_bytes(cat, hops * frame_bytes);
-  return t;
-}
-
-Network::Transfer Network::faulty_transfer(Transfer t, sim::MsgCategory cat,
-                                           std::size_t frame_bytes) {
-  // Per-link walk under an active fault injector.  Each leg may drop the
-  // message (the hops transmitted up to the drop point are still charged),
-  // duplicate it (the copy is charged but dies at the next router), or delay
-  // it (jitter on top of propagation latency).  The fault draw covers the
-  // logical message (one decision per link regardless of fragment count), so
-  // enabling byte accounting does not shift the injector's RNG stream.
-  const std::uint64_t frags =
-      std::max<std::size_t>(1, (frame_bytes + wire::kDefaultMtu - 1) /
-                                   wire::kDefaultMtu);
-  for (std::size_t i = 0; i + 1 < t.path.size(); ++i) {
-    const NodeIndex u = t.path[i];
-    const NodeIndex v = t.path[i + 1];
-    const sim::FaultDecision d = faults_->on_link(u, v);
-    t.messages += d.copies * frags;
-    sim_.counters().add(cat, d.copies * frags);
-    sim_.counters().add_bytes(cat, d.copies * frame_bytes);
-    if (d.dropped) {
-      t.lost = true;
-      if (recorder_ != nullptr) {
-        recorder_->record(obs::HopRecord{
-            .trace_id = 0,
-            .t_ms = sim_.now_ms() + t.latency_ms,
-            .domain = obs::HopDomain::kIntra,
-            .node = u,
-            .category = static_cast<std::uint8_t>(cat),
-            .kind = obs::HopKind::kFaultDrop,
-            .frame_bytes = static_cast<std::uint32_t>(frame_bytes),
-            .chased = NodeId{}});
-      }
-      return t;
-    }
-    t.latency_ms += link_latency(u, v) + d.extra_latency_ms;
-  }
-  t.ok = true;
-  return t;
-}
-
 void Network::set_shard_map(std::vector<std::uint32_t> map) {
   assert(map.empty() || map.size() == routers_.size());
   shard_map_ = std::move(map);
@@ -202,98 +134,91 @@ void Network::set_shard_map(std::vector<std::uint32_t> map) {
   }
 }
 
-Network::Exchange Network::exchange_once(
-    NodeIndex a, NodeIndex b, sim::MsgCategory cat,
-    const std::vector<std::uint8_t>& frame) {
+Network::Exchange Network::carry(NodeIndex a, NodeIndex b,
+                                 sim::MsgCategory cat,
+                                 const std::vector<std::uint8_t>& frame) {
   Exchange ex;
-  ex.t = unicast(a, b, cat, frame.size());
-  if (!ex.t.ok) return ex;
-  if (!shard_map_.empty() && a != b && shard_map_[a] != shard_map_[b]) {
-    sim_.metrics().add(shard_cross_msgs_id_);
-    sim_.metrics().add(shard_cross_bytes_id_, frame.size());
-  }
-  // The frame reached b; the injector may still have garbled bits on the
-  // way.  The receiver decodes CRC-verified before touching any state, so a
-  // corrupted frame is indistinguishable from a lost one.
-  if (faults_ != nullptr && faults_->corruption_enabled() && a != b) {
-    std::vector<std::uint8_t> delivered = frame;
-    if (faults_->maybe_corrupt_frame(delivered)) {
-      ex.received = wire::msg::decode_control(delivered);
-      // CRC-32 detects every <=32-bit burst the injector produces; a
-      // corrupted frame that decoded anyway would be silent state
-      // corruption, the exact failure mode the wire format exists to stop.
-      assert(!ex.received.has_value());
-      if (ex.received.has_value()) {
-        // Defense in depth for release builds: discard it anyway.
-        ex.received.reset();
+  Transfer& t = ex.t;
+  if (a == b) {
+    t.path = {a};
+  } else {
+    t.path = map_->path(a, b);
+    if (t.path.empty()) return ex;
+    const std::uint64_t packets = wire::hop_packets(frame.size());
+    if (faults_ == nullptr || !faults_->message_faults_enabled()) {
+      // Nothing can happen to the frame on the way: charge every hop at
+      // once, at the path latency the SPF table holds.
+      const std::uint64_t hops = t.path.size() - 1;
+      t.messages = hops * packets;
+      t.latency_ms = map_->latency_ms(a, b).value_or(0.0);
+      sim_.counters().add(cat, t.messages);
+      sim_.counters().add_bytes(cat, hops * frame.size());
+    } else {
+      // Link by link: a leg may drop the frame (the legs sent up to the drop
+      // stay charged), duplicate it (the copy is charged and dies at the
+      // next router) or delay it.  One draw per link covers the whole frame,
+      // however many packets it spans.
+      for (std::size_t i = 0; i + 1 < t.path.size(); ++i) {
+        const NodeIndex u = t.path[i];
+        const NodeIndex v = t.path[i + 1];
+        const sim::FaultDecision d = faults_->on_link(u, v);
+        t.messages += d.copies * packets;
+        sim_.counters().add(cat, d.copies * packets);
+        sim_.counters().add_bytes(cat, d.copies * frame.size());
+        if (d.dropped) {
+          if (recorder_ != nullptr) {
+            recorder_->record(obs::HopRecord{
+                .trace_id = 0,
+                .t_ms = sim_.now_ms() + t.latency_ms,
+                .domain = obs::HopDomain::kIntra,
+                .node = u,
+                .category = static_cast<std::uint8_t>(cat),
+                .kind = obs::HopKind::kFaultDrop,
+                .frame_bytes = static_cast<std::uint32_t>(frame.size()),
+                .chased = NodeId{}});
+          }
+          return ex;
+        }
+        t.latency_ms += link_latency(u, v) + d.extra_latency_ms;
       }
-      sim_.metrics().add(codec_rejected_id_);
-      ex.t.ok = false;
-      ex.t.lost = true;
-      return ex;
+    }
+    if (!shard_map_.empty() && shard_map_[a] != shard_map_[b]) {
+      sim_.metrics().add(shard_cross_msgs_id_);
+      sim_.metrics().add(shard_cross_bytes_id_, frame.size());
     }
   }
-  ex.received = wire::msg::decode_control(frame);
-  assert(ex.received.has_value());  // encode->decode must round-trip
+  // The receiving router acts only on what it decodes off the wire.
+  ex.received = simwire::receive(frame, a != b ? faults_ : nullptr);
   if (!ex.received.has_value()) {
     sim_.metrics().add(codec_rejected_id_);
-    ex.t.ok = false;
-    ex.t.lost = true;
+    return ex;
   }
+  t.ok = true;
   return ex;
 }
 
 Network::Exchange Network::reliable_exchange(NodeIndex a, NodeIndex b,
                                              sim::MsgCategory cat,
                                              const wire::msg::ControlMessage& m) {
-  Exchange ex;
-  const NodeId src =
-      a < routers_.size() ? routers_[a]->router_id() : NodeId{};
-  const NodeId dst =
-      b < routers_.size() ? routers_[b]->router_id() : NodeId{};
-  const std::vector<std::uint8_t> frame =
-      wire::msg::encode_control(m, src, dst);
-  if (frame.empty()) {
-    // Oversized message: explicit encode failure.  A zero-byte frame is
-    // never transmitted; retransmission cannot help (!ok, !lost).
-    sim_.metrics().add(encode_failures_id_);
-    return ex;
-  }
+  const std::vector<std::uint8_t> frame = simwire::encode(
+      m, a < routers_.size() ? routers_[a]->router_id() : NodeId{},
+      b < routers_.size() ? routers_[b]->router_id() : NodeId{},
+      sim_.metrics(), encode_failures_id_);
+  if (frame.empty()) return {};
   if (faults_ == nullptr || !faults_->message_faults_enabled()) {
-    return exchange_once(a, b, cat, frame);
+    return carry(a, b, cat, frame);
   }
-  const sim::RetryPolicy& rp = cfg_.retry;
-  const unsigned attempts = std::max(1u, rp.max_attempts);
-  Transfer total;
-  double timeout = rp.timeout_ms;
-  for (unsigned attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) faults_->note_retry();
-    Exchange once = exchange_once(a, b, cat, frame);
-    total.messages += once.t.messages;
-    if (once.t.ok) {
-      total.ok = true;
-      total.lost = false;
-      total.latency_ms += once.t.latency_ms;
-      total.path = std::move(once.t.path);
-      ex.t = std::move(total);
-      ex.received = std::move(once.received);
-      return ex;
-    }
-    if (!once.t.lost) {
-      // No path at all: retransmission cannot help.
-      ex.t = std::move(total);
-      return ex;
-    }
-    total.lost = true;
-    // The sender only learns of the loss (or of the receiver discarding a
-    // corrupted frame) when its retransmission timer fires; each lost
-    // attempt costs the current timeout, which then backs off exponentially
-    // (capped).
-    total.latency_ms += timeout;
-    timeout = rp.next_timeout(timeout);
-  }
-  faults_->note_retry_exhausted();
-  ex.t = std::move(total);
+  Exchange ex;
+  std::uint64_t messages = 0;
+  const simwire::Retried r = simwire::retry(cfg_.retry, *faults_, [&] {
+    ex = carry(a, b, cat, frame);
+    messages += ex.t.messages;
+    if (ex.t.ok) return simwire::Delivery::kDelivered;
+    return ex.t.path.empty() ? simwire::Delivery::kNoPath
+                             : simwire::Delivery::kLost;
+  });
+  ex.t.messages = messages;
+  ex.t.latency_ms = ex.t.ok ? r.waited_ms + ex.t.latency_ms : r.waited_ms;
   return ex;
 }
 
@@ -302,6 +227,21 @@ double Network::link_latency(NodeIndex u, NodeIndex v) const {
     if (e.to == v) return e.latency_ms;
   }
   return 0.0;
+}
+
+sim::FaultDecision Network::cross_link(NodeIndex u, NodeIndex v,
+                                       std::size_t frame_bytes,
+                                       RouteStats& stats) {
+  stats.latency_ms += link_latency(u, v);
+  ++stats.physical_hops;
+  sim::FaultDecision fd;
+  if (faults_ != nullptr && faults_->message_faults_enabled()) {
+    fd = faults_->on_link(u, v);
+    if (!fd.dropped) stats.latency_ms += fd.extra_latency_ms;
+  }
+  sim_.counters().add(sim::MsgCategory::kData, fd.copies);
+  sim_.counters().add_bytes(sim::MsgCategory::kData, fd.copies * frame_bytes);
+  return fd;
 }
 
 void Network::schedule_fault_plan(const sim::FaultPlan& plan) {
@@ -648,24 +588,22 @@ JoinStats Network::join_id(const NodeId& id, const PublicKey& pub,
     req.gateway = gateway;
     req.host_class = static_cast<std::uint8_t>(host_class);
     req.public_key = pub;
-    const std::vector<std::uint8_t> frame = wire::msg::encode_control(
-        wire::msg::ControlMessage{req}, id, routers_[gateway]->router_id());
-    if (frame.empty()) {
-      sim_.metrics().add(encode_failures_id_);
-      return stats;  // never transmit a zero-byte frame
-    }
-    const auto decoded = wire::msg::decode_control(frame);
+    const std::vector<std::uint8_t> frame =
+        simwire::encode(req, id, routers_[gateway]->router_id(),
+                        sim_.metrics(), encode_failures_id_);
+    if (frame.empty()) return stats;
+    // The access link makes no fault draw: the gateway decodes the frame as
+    // the host sent it.
+    const auto decoded = simwire::receive(frame, nullptr);
     assert(decoded.has_value() &&
            std::get<wire::msg::JoinRequest>(*decoded).gateway == gateway);
     if (!decoded.has_value()) {
       sim_.metrics().add(codec_rejected_id_);
       return stats;
     }
-    const std::uint64_t frags =
-        std::max<std::size_t>(1, (frame.size() + wire::kDefaultMtu - 1) /
-                                     wire::kDefaultMtu);
-    stats.messages += frags;
-    sim_.counters().add(sim::MsgCategory::kJoin, frags);
+    const std::uint64_t packets = wire::hop_packets(frame.size());
+    stats.messages += packets;
+    sim_.counters().add(sim::MsgCategory::kJoin, packets);
     sim_.counters().add_bytes(sim::MsgCategory::kJoin, frame.size());
   }
 
@@ -1312,30 +1250,22 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
     if (const auto egw = live_egw()) {
       rec(obs::HopKind::kEphemeralGateway, cur, dest);
       const auto path = map_->path(cur, *egw);
-      if (!path.empty()) {
-        if (faults_ != nullptr && faults_->message_faults_enabled()) {
-          // The final leg to the ephemeral gateway is ordinary data-plane
-          // traffic: walk it link by link so each hop can drop the packet.
-          for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-            const sim::FaultDecision fd =
-                faults_->on_link(path[i], path[i + 1]);
-            sim_.counters().add(sim::MsgCategory::kData, fd.copies);
-            sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                      fd.copies * data_frame_bytes_);
-            ++stats.physical_hops;
-            stats.latency_ms += link_latency(path[i], path[i + 1]);
-            if (fd.dropped) {
-              rec(obs::HopKind::kFaultDrop, path[i], dest);
-              return stats;
-            }
-            stats.latency_ms += fd.extra_latency_ms;
-            routers_[path[i + 1]]->count_traversal();
+      if (path.empty()) {
+        rec(obs::HopKind::kDrop, cur, dest);
+        return stats;
+      }
+      if (faults_ != nullptr && faults_->message_faults_enabled()) {
+        // The final leg to the ephemeral gateway is ordinary data-plane
+        // traffic: cross it link by link so each hop can drop the packet.
+        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+          if (cross_link(path[i], path[i + 1], data_frame_bytes_, stats)
+                  .dropped) {
+            rec(obs::HopKind::kFaultDrop, path[i], dest);
+            return stats;
           }
-          stats.delivered = true;
-          sim_.metrics().add(delivered_id_);
-          rec(obs::HopKind::kDeliver, *egw, dest);
-          return stats;
+          routers_[path[i + 1]]->count_traversal();
         }
+      } else {
         for (std::size_t i = 1; i < path.size(); ++i) {
           routers_[path[i]]->count_traversal();
         }
@@ -1345,12 +1275,10 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
         sim_.counters().add(sim::MsgCategory::kData, hops);
         sim_.counters().add_bytes(sim::MsgCategory::kData,
                                   hops * data_frame_bytes_);
-        stats.delivered = true;
-        sim_.metrics().add(delivered_id_);
-        rec(obs::HopKind::kDeliver, *egw, dest);
-        return stats;
       }
-      rec(obs::HopKind::kDrop, cur, dest);
+      stats.delivered = true;
+      sim_.metrics().add(delivered_id_);
+      rec(obs::HopKind::kDeliver, *egw, dest);
       return stats;
     }
 
@@ -1404,21 +1332,18 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       if (chasing_origin != graph::kInvalidNode && chasing_origin != cur) {
         // One-shot (unreliable) teardown back to the cache that supplied the
         // stale pointer; the holder erases the ID it decodes off the wire.
-        const std::vector<std::uint8_t> frame = wire::msg::encode_control(
+        const std::vector<std::uint8_t> frame = simwire::encode(
             wire::msg::Teardown{.id = chasing->id, .reason = 2},
-            routers_[cur]->router_id(), routers_[chasing_origin]->router_id());
-        if (!frame.empty()) {
-          const Exchange back =
-              exchange_once(cur, chasing_origin,
-                            sim::MsgCategory::kTeardown, frame);
-          const NodeId stale_id =
-              back.t.ok ? std::get<wire::msg::Teardown>(*back.received).id
-                        : chasing->id;
-          routers_[chasing_origin]->cache().erase(stale_id);
-        } else {
-          sim_.metrics().add(encode_failures_id_);
-          routers_[chasing_origin]->cache().erase(chasing->id);
-        }
+            routers_[cur]->router_id(), routers_[chasing_origin]->router_id(),
+            sim_.metrics(), encode_failures_id_);
+        const Exchange back =
+            frame.empty()
+                ? Exchange{}
+                : carry(cur, chasing_origin, sim::MsgCategory::kTeardown,
+                        frame);
+        routers_[chasing_origin]->cache().erase(
+            back.t.ok ? std::get<wire::msg::Teardown>(*back.received).id
+                      : chasing->id);
       }
       chasing.reset();
       chasing_origin = graph::kInvalidNode;
@@ -1435,32 +1360,9 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       clean_walk = false;
       continue;
     }
-    // Per-hop latency of the link about to be crossed.
-    for (const graph::Edge& e : topo_->graph.neighbors(cur)) {
-      if (e.to == *next) {
-        stats.latency_ms += e.latency_ms;
-        break;
-      }
-    }
-    if (faults_ != nullptr && faults_->message_faults_enabled()) {
-      const sim::FaultDecision fd = faults_->on_link(cur, *next);
-      if (fd.copies > 1) {
-        // The duplicate is transmitted (and charged) but dies at the next
-        // router's dedup check.
-        sim_.counters().add(sim::MsgCategory::kData, fd.copies - 1);
-        sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                  (fd.copies - 1) * data_frame_bytes_);
-      }
-      if (fd.dropped) {
-        // Data packets have no retransmission (best-effort forwarding): the
-        // hop onto the link is charged, then the packet is gone.
-        ++stats.physical_hops;
-        sim_.counters().add(sim::MsgCategory::kData, 1);
-        sim_.counters().add_bytes(sim::MsgCategory::kData, data_frame_bytes_);
-        rec(obs::HopKind::kFaultDrop, cur, chasing->id);
-        return stats;
-      }
-      stats.latency_ms += fd.extra_latency_ms;
+    if (cross_link(cur, *next, data_frame_bytes_, stats).dropped) {
+      rec(obs::HopKind::kFaultDrop, cur, chasing->id);
+      return stats;
     }
     cur = *next;
     if (record_walk) {
@@ -1468,9 +1370,6 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       traversed.push_back(cur);
     }
     routers_[cur]->count_traversal();
-    ++stats.physical_hops;
-    sim_.counters().add(sim::MsgCategory::kData, 1);
-    sim_.counters().add_bytes(sim::MsgCategory::kData, data_frame_bytes_);
     rec(obs::HopKind::kForward, cur, chasing->id);
   }
   rec(obs::HopKind::kDrop, cur, dest);
@@ -1521,44 +1420,20 @@ bool Network::route_labeled(
     // is only the fallback against a half-torn-down table.
     const LabelEntry* e = routers_[cur]->labels().lookup(label);
     const NodeIndex next = e != nullptr ? e->out : flow.path[i + 1];
-    for (const graph::Edge& edge : topo_->graph.neighbors(cur)) {
-      if (edge.to == next) {
-        stats.latency_ms += edge.latency_ms;
-        break;
-      }
-    }
-    // Mirror the greedy walk's per-link fault handling exactly (same
-    // on_link draw per link crossed) so the injector's RNG stream stays in
+    // The greedy walk's own link step, so the injector's draws stay in
     // lockstep whether or not this flow is labeled.
-    if (faults_ != nullptr && faults_->message_faults_enabled()) {
-      const sim::FaultDecision fd = faults_->on_link(cur, next);
-      if (fd.copies > 1) {
-        sim_.counters().add(sim::MsgCategory::kData, fd.copies - 1);
-        sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                  (fd.copies - 1) * labeled_data_frame_bytes_);
-        sim_.metrics().add(labels_bytes_saved_id_, (fd.copies - 1) * saved);
-      }
-      if (fd.dropped) {
-        ++stats.physical_hops;
-        sim_.counters().add(sim::MsgCategory::kData, 1);
-        sim_.counters().add_bytes(sim::MsgCategory::kData,
-                                  labeled_data_frame_bytes_);
-        sim_.metrics().add(labels_bytes_saved_id_, saved);
-        // ring_hops a greedy walk would have accumulated by this link.
-        stats.ring_hops = flow.ring_hops_when_leaving[i];
-        rec(obs::HopKind::kFaultDrop, cur, dest);
-        return true;
-      }
-      stats.latency_ms += fd.extra_latency_ms;
+    const sim::FaultDecision fd =
+        cross_link(cur, next, labeled_data_frame_bytes_, stats);
+    sim_.metrics().add(labels_bytes_saved_id_, fd.copies * saved);
+    if (fd.dropped) {
+      // ring_hops a greedy walk would have accumulated by this link.
+      stats.ring_hops = flow.ring_hops_when_leaving[i];
+      rec(obs::HopKind::kFaultDrop, cur, dest);
+      return true;
     }
     label = e != nullptr ? e->next_label : flow.labels[i + 1];
     cur = next;
     routers_[cur]->count_traversal();
-    ++stats.physical_hops;
-    sim_.counters().add(sim::MsgCategory::kData, 1);
-    sim_.counters().add_bytes(sim::MsgCategory::kData,
-                              labeled_data_frame_bytes_);
-    sim_.metrics().add(labels_bytes_saved_id_, saved);
     rec(obs::HopKind::kLabelSwitch, cur, dest);
   }
   stats.ring_hops = flow.final_ring_hops;

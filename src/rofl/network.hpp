@@ -68,9 +68,6 @@ struct Config {
   /// knob the paper explicitly leaves OFF ("we do not snoop on data packet
   /// headers for filling caches", section 6.1); provided for the ablation.
   bool cache_data_paths = false;
-  /// Charge the router-ID bootstrap flood to the counters (the paper treats
-  /// router bring-up as infrastructure cost and excludes it).
-  bool count_bootstrap = false;
   /// Sybil damage control (section 2.1): an AS-level audit cap on the number
   /// of IDs any one router may host.  0 = unlimited.  Joins beyond the cap
   /// are refused at the gateway.
@@ -282,13 +279,10 @@ class Network {
  private:
   struct Transfer {
     bool ok = false;
-    /// Distinguishes the two failure modes: `lost` means the message was
-    /// dropped in flight by the fault injector (retransmission can help);
-    /// !ok && !lost means no path existed at all (it cannot).
-    bool lost = false;
     std::uint64_t messages = 0;
     double latency_ms = 0.0;
-    std::vector<NodeIndex> path;  // inclusive endpoints
+    /// The IGP path, inclusive endpoints; empty when none existed.
+    std::vector<NodeIndex> path;
   };
 
   /// One control exchange's outcome: the transfer bookkeeping plus the
@@ -300,44 +294,40 @@ class Network {
     std::optional<wire::msg::ControlMessage> received;
   };
 
-  /// One transmission attempt of a logical protocol message A->B over the
-  /// IGP path.  The message occupies `frame_bytes` on the wire and charges
-  /// ceil(frame_bytes / kDefaultMtu) network packets per physical hop (the
-  /// paper's multi-packet counts for >MTU messages) plus `frame_bytes` on the
-  /// per-category byte counters.  With a fault injector installed the
-  /// message may be dropped mid-path (ok=false, lost=true; the hops up to
-  /// the drop point are still charged), duplicated (extra packets charged),
-  /// or delayed (jitter added to latency).
-  Transfer unicast(NodeIndex a, NodeIndex b, sim::MsgCategory cat,
-                   std::size_t frame_bytes);
+  /// Carries one attempt of `frame` from router a to router b over the IGP
+  /// path: the one routine by which a simulated control frame crosses the
+  /// network.  Each physical hop is charged wire::hop_packets(frame) packets
+  /// and the frame's bytes on `cat`.  With message faults on, the frame
+  /// crosses link by link: a link may drop it (ok=false; the hops up to the
+  /// drop stay charged), duplicate it (the copy is charged) or delay it, and
+  /// each link adds its latency plus jitter as one term.  A frame that
+  /// arrives is received through simwire::receive, so one the injector
+  /// garbled is rejected (counted on rofl.codec_rejected) and comes back
+  /// like a drop.  A missing path comes back with `t.path` empty.
+  Exchange carry(NodeIndex a, NodeIndex b, sim::MsgCategory cat,
+                 const std::vector<std::uint8_t>& frame);
 
-  /// The per-link walk of `unicast` under an active fault injector; `t.path`
-  /// must already hold the IGP path.
-  Transfer faulty_transfer(Transfer t, sim::MsgCategory cat,
-                           std::size_t frame_bytes);
-
-  /// One attempt of `frame` across the network: unicast charging, then -- if
-  /// the frame arrived -- byte corruption by the injector and CRC-verified
-  /// decode at the receiver.  A corrupted frame fails decode and comes back
-  /// as lost (ok stays false), which is exactly how the retry loop sees a
-  /// dropped packet.
-  Exchange exchange_once(NodeIndex a, NodeIndex b, sim::MsgCategory cat,
-                         const std::vector<std::uint8_t>& frame);
-
-  /// Encodes `m` once and runs the retry-with-timeout-and-exponential-
-  /// backoff state machine over exchange_once (Config::retry).  Control
-  /// exchanges use this instead of assuming one-shot delivery: each lost (or
-  /// corrupted) attempt costs its transmitted hops plus the current
-  /// retransmission timeout in latency, then the timeout backs off.  Gives
-  /// up after max_attempts (ok=false, lost=true) or immediately when no path
-  /// exists (ok=false, lost=false) or the message cannot be encoded (counted
-  /// on rofl.encode_failures; a zero-byte frame is never transmitted).  With
-  /// no injector the first attempt always succeeds.
+  /// Encodes `m` once and carries it a->b under simwire::retry with
+  /// Config::retry: each lost (or rejected) attempt costs its transmitted
+  /// hops plus the current timeout in latency.  Gives up after max_attempts,
+  /// at once when no path exists, or before sending when the message cannot
+  /// be encoded (counted on rofl.encode_failures).  With no message faults
+  /// the one attempt always arrives.
   Exchange reliable_exchange(NodeIndex a, NodeIndex b, sim::MsgCategory cat,
                              const wire::msg::ControlMessage& m);
 
-  /// Propagation delay of the direct link u->v (0 when not adjacent).
+  /// Propagation delay of the direct link u->v (0 when not adjacent): the
+  /// one price of a link's latency.
   [[nodiscard]] double link_latency(NodeIndex u, NodeIndex v) const;
+
+  /// One data packet of `frame_bytes` crossing link u->v: the step the
+  /// greedy walk, the ephemeral final leg and the labeled replay all take.
+  /// Counts the hop, charges one packet per transmitted copy (a duplicate
+  /// dies at the next router), and adds the link's latency and then the
+  /// injector's jitter to `stats`.  Data is best effort: a returned drop is
+  /// final.
+  sim::FaultDecision cross_link(NodeIndex u, NodeIndex v,
+                                std::size_t frame_bytes, RouteStats& stats);
 
   /// Administrative up/down flag of edge (u,v), ignoring endpoint node
   /// state; the fail_link/restore_link idempotence guards key off this.
@@ -372,7 +362,7 @@ class Network {
                          sim::MsgCategory cat);
 
   /// Tops a vnode's successor group back up to k by copying from its first
-  /// successor; one unicast when a refresh was needed.  `exclude` filters an
+  /// successor; one exchange when a refresh was needed.  `exclude` filters an
   /// ID that is mid-teardown out of the copied entries.
   std::uint64_t refill_successors(VirtualNode& vn, sim::MsgCategory cat,
                                   const std::optional<NodeId>& exclude =

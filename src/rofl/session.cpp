@@ -1,6 +1,6 @@
 #include "rofl/session.hpp"
 
-#include <cassert>
+#include "rofl/sim_wire.hpp"
 
 namespace rofl::intra {
 
@@ -74,34 +74,25 @@ void SessionManager::tick(const NodeId& id, std::uint64_t epoch) {
     // encode_control fails loudly (empty vector) on oversized fields; a
     // keepalive cannot overflow, but the contract is checked anyway -- a
     // zero-byte frame must never be counted as sent.
-    std::vector<std::uint8_t> frame = wire::msg::encode_control(
+    const std::vector<std::uint8_t> frame = wire::msg::encode_control(
         wire::msg::Keepalive{.seq = s.missed + 1}, id, id);
     if (!frame.empty()) {
-      net_->simulator().counters().add(
-          sim::MsgCategory::kControl,
-          std::max<std::size_t>(
-              1, (frame.size() + wire::kDefaultMtu - 1) / wire::kDefaultMtu));
+      net_->simulator().counters().add(sim::MsgCategory::kControl,
+                                       wire::hop_packets(frame.size()));
       net_->simulator().counters().add_bytes(sim::MsgCategory::kControl,
                                              frame.size());
       ++keepalives_;
       net_->simulator().metrics().add(keepalives_id_);
-      // A lossy access link can eat the keepalive -- or corrupt it, which
+      // A lossy access link can eat the keepalive -- or garble it, which
       // the gateway's CRC check turns into the same thing.  The gateway
       // cannot tell either from a dead host, so both count as one miss;
-      // only miss_limit consecutive losses look like a failure.
+      // only miss_limit consecutive losses look like a failure.  The
+      // keepalive is never resent: the miss limit is its retry budget.
       sim::FaultInjector* inj = net_->fault_injector();
-      bool delivered = true;
-      if (inj != nullptr && inj->message_faults_enabled()) {
-        if (inj->on_access_link().dropped) delivered = false;
-        if (delivered && inj->corruption_enabled() &&
-            inj->maybe_corrupt_frame(frame)) {
-          delivered = wire::msg::decode_control(frame).has_value();
-          assert(!delivered);  // CRC must reject the corrupted frame
-        } else if (delivered) {
-          delivered = wire::msg::decode_control(frame).has_value();
-          assert(delivered);  // clean frame must round-trip
-        }
-      }
+      const bool delivered =
+          inj == nullptr || !inj->message_faults_enabled() ||
+          (!inj->on_access_link().dropped &&
+           simwire::receive(frame, inj).has_value());
       if (!delivered) {
         ++keepalives_lost_;
         net_->simulator().metrics().add(keepalives_lost_id_);

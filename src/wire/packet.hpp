@@ -9,6 +9,8 @@
 // requires 258 IP packets", section 6.3).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -46,6 +48,13 @@ inline constexpr std::uint8_t kMaxPacketType =
 
 inline constexpr std::uint8_t kVersion = 1;
 inline constexpr std::size_t kDefaultMtu = 1500;
+/// Network packets one logical frame of `frame_bytes` costs on each physical
+/// hop it crosses in the simulators: ceil(frame_bytes / kDefaultMtu), and at
+/// least one.  Section 6.3's 1638-byte JoinRequest costs 2 per hop.
+[[nodiscard]] constexpr std::uint64_t hop_packets(std::size_t frame_bytes) {
+  return std::max<std::uint64_t>(
+      1, (frame_bytes + kDefaultMtu - 1) / kDefaultMtu);
+}
 /// Fixed framing cost of a control frame with no variable-length fields:
 /// 4 header + 16 dst + 16 src + 8 trace + 2 as_path count + 2 finger count +
 /// 2 payload length + 4 CRC.  An MTU at or below this carries no payload per

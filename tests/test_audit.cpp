@@ -224,6 +224,17 @@ TEST(Auditor, ScheduledAuditsRideTheSimulatorClock) {
   EXPECT_EQ(reg.counter_value(reg.counter("audit.runs")), 10u);
 }
 
+TEST(Auditor, NonPositiveIntervalSchedulesNothing) {
+  // interval * k never passes the horizon for a zero or negative step, so
+  // scheduling must refuse it instead of filling the queue without end.
+  AuditNet t(20, 4, {}, 5);
+  Auditor auditor(t.net.get());
+  auditor.schedule_every(0.0, 100.0);
+  auditor.schedule_every(-5.0, 100.0);
+  t.net->simulator().run_until(200.0);
+  EXPECT_EQ(auditor.audits_run(), 0u);
+}
+
 TEST(Auditor, InterdomainCleanAcrossChurnAndAsFlaps) {
   Rng trng(2001);
   graph::AsGenParams gp;

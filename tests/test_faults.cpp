@@ -9,6 +9,7 @@
 #include "audit/churn.hpp"
 #include "obs/flight_recorder.hpp"
 #include "rofl/network.hpp"
+#include "rofl/sim_wire.hpp"
 
 namespace rofl {
 namespace {
@@ -100,6 +101,66 @@ TEST(FaultInjector, OnPathStopsAtFirstDrop) {
   EXPECT_FALSE(q.dropped);
   EXPECT_EQ(q.transmissions, 10u);
   EXPECT_GT(q.extra_latency_ms, 0.0);
+}
+
+TEST(SimWireRetry, BacksOffUntilDeliveredOrExhausted) {
+  obs::Registry reg;
+  sim::FaultInjector inj(lossy_plan(0.5), 5, &reg);
+  const sim::RetryPolicy policy{/*max_attempts=*/4, /*timeout_ms=*/10.0,
+                                /*backoff=*/3.0, /*max_timeout_ms=*/50.0};
+  // Lost twice, then delivered: two timeouts waited, in order.
+  int calls = 0;
+  simwire::Retried r = simwire::retry(policy, inj, [&] {
+    return ++calls < 3 ? simwire::Delivery::kLost
+                       : simwire::Delivery::kDelivered;
+  });
+  EXPECT_EQ(r.outcome, simwire::Delivery::kDelivered);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(r.waited_ms, 10.0 + 30.0);
+  EXPECT_EQ(inj.retries(), 2u);
+  EXPECT_EQ(inj.retries_exhausted(), 0u);
+  // Never delivered: every attempt spent, the timeout capped, one
+  // exhaustion counted.
+  calls = 0;
+  r = simwire::retry(policy, inj, [&] {
+    ++calls;
+    return simwire::Delivery::kLost;
+  });
+  EXPECT_EQ(r.outcome, simwire::Delivery::kLost);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(r.waited_ms, 10.0 + 30.0 + 50.0 + 50.0);
+  EXPECT_EQ(inj.retries(), 5u);
+  EXPECT_EQ(inj.retries_exhausted(), 1u);
+  // No path: resending cannot help, so the first attempt is the last.
+  calls = 0;
+  r = simwire::retry(policy, inj, [&] {
+    ++calls;
+    return simwire::Delivery::kNoPath;
+  });
+  EXPECT_EQ(r.outcome, simwire::Delivery::kNoPath);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(r.waited_ms, 0.0);
+  EXPECT_EQ(inj.retries_exhausted(), 1u);
+}
+
+TEST(SimWireReceive, GarbledFramesAreRejectedAndCleanOnesDecode) {
+  const std::vector<std::uint8_t> frame = wire::msg::encode_control(
+      wire::msg::Teardown{.id = NodeId(7, 9), .reason = 2}, NodeId(1, 1),
+      NodeId(2, 2));
+  ASSERT_FALSE(frame.empty());
+  // No injector: the receiver decodes the frame as sent.
+  const auto clean = simwire::receive(frame, nullptr);
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_EQ(std::get<wire::msg::Teardown>(*clean).id, NodeId(7, 9));
+  // Every frame garbled: each one is rejected, and each flip is counted.
+  obs::Registry reg;
+  sim::FaultPlan plan;
+  plan.defaults.corrupt = 1.0;
+  sim::FaultInjector inj(plan, 5, &reg);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_FALSE(simwire::receive(frame, &inj).has_value());
+  }
+  EXPECT_EQ(inj.corrupted(), 50u);
 }
 
 // -- intradomain wiring ------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "golden_digest.hpp"
 #include "util/stats.hpp"
 
 namespace rofl::inter {
@@ -450,6 +451,82 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{JoinStrategy::kPeering, PeeringMode::kVirtualAs},
         SweepParam{JoinStrategy::kRecursiveMultihomed, PeeringMode::kBloom},
         SweepParam{JoinStrategy::kPeering, PeeringMode::kBloom}));
+
+// Golden interdomain outcomes under loss and corruption.  Joins over every
+// strategy, departures, an AS failure and its restore, a maintenance pass
+// and routes fold their stats, then every registry counter by name (inter.*,
+// faults.*, msgs.* and bytes.*), into one digest.  Pinned from this body
+// before the simulator layers shared one retry loop and one receive step.
+TEST(InterGolden, LossAndCorruption) {
+  Rng trng(1717);
+  graph::AsGenParams gp;
+  gp.tier1_count = 3;
+  gp.tier2_count = 6;
+  gp.tier3_count = 12;
+  gp.stub_count = 30;
+  gp.total_hosts = 4000;
+  const AsTopology topo = AsTopology::make_internet_like(gp, trng);
+  InterConfig cfg;
+  cfg.fingers_per_id = 2;
+  InterNetwork net(&topo, cfg, 1718);
+  sim::FaultPlan plan;
+  plan.defaults.loss = 0.06;
+  plan.defaults.corrupt = 0.05;
+  sim::FaultInjector inj(plan, 1719, &net.simulator().metrics());
+  net.set_fault_injector(&inj);
+
+  testing_support::GoldenDigest d;
+  const auto add_repair = [&d](const InterRepairStats& rs) {
+    d.add(rs.messages);
+    d.add(rs.bytes);
+    d.add(std::uint64_t{rs.pointers_torn});
+    d.add(std::uint64_t{rs.ids_lost});
+  };
+  const auto route_batch = [&] {
+    const auto& dir = net.directory();
+    if (dir.empty()) return;
+    std::vector<NodeId> live;
+    for (const auto& [id, home] : dir) live.push_back(id);
+    for (int i = 0; i < 60; ++i) {
+      const auto src =
+          static_cast<graph::AsIndex>(net.rng().index(topo.as_count()));
+      const InterRouteStats rs =
+          net.route(src, live[net.rng().index(live.size())]);
+      d.add(std::uint64_t{rs.delivered});
+      d.add(std::uint64_t{rs.as_hops});
+      d.add(std::uint64_t{rs.segments});
+      d.add(std::uint64_t{rs.bgp_hops});
+      d.add(std::uint64_t{rs.isolation_held});
+      d.add(std::uint64_t{rs.peer_links_used});
+      d.add(std::uint64_t{rs.backtracks});
+    }
+  };
+  const JoinStrategy strategies[] = {
+      JoinStrategy::kEphemeral, JoinStrategy::kSingleHomed,
+      JoinStrategy::kRecursiveMultihomed, JoinStrategy::kPeering};
+  for (int i = 0; i < 80; ++i) {
+    const InterJoinStats js = net.join_random_host(strategies[i % 4]);
+    d.add(std::uint64_t{js.ok});
+    d.add(js.messages);
+    d.add(js.bytes);
+  }
+  route_batch();
+  for (int i = 0; i < 10; ++i) {
+    const auto& dir = net.directory();
+    const NodeId victim = std::next(dir.begin(), (i * 7) % dir.size())->first;
+    add_repair(net.leave_host(victim));
+  }
+  const auto victim = static_cast<graph::AsIndex>(topo.as_count() - 1);
+  add_repair(net.fail_as(victim));
+  route_batch();
+  add_repair(net.restore_as(victim));
+  add_repair(net.repair());
+  route_batch();
+  d.add_counters(net.simulator().metrics());
+  net.set_fault_injector(nullptr);
+  EXPECT_GT(inj.corrupted(), 0u);
+  EXPECT_EQ(d.value(), 0xe9b48ead07cb6accull);
+}
 
 }  // namespace
 }  // namespace rofl::inter

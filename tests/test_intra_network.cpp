@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_digest.hpp"
 #include "util/stats.hpp"
 
-#include <bit>
 #include <set>
 
 namespace rofl::intra {
@@ -114,6 +114,21 @@ TEST(IntraDeterminism, ParallelSpfReproducesSerialRunExactly) {
               b.net->simulator().counters().get(cat))
         << sim::to_string(cat);
   }
+}
+
+TEST(IntraDeterminism, SameSeedMetricsSnapshotsAreByteIdentical) {
+  // The registry holds simulated behaviour only: two same-seed runs through
+  // the all-routers SPF recompute of repair_partitions export byte-identical
+  // snapshots, with nothing scrubbed first.
+  const auto snapshot = [] {
+    TestNet t(64, 8, Config{}, 4321);
+    t.join_many(60);
+    (void)t.net->fail_link(5, t.topo.graph.neighbors(5).front().to);
+    (void)t.net->fail_router(9);
+    (void)t.net->repair_partitions();
+    return t.net->simulator().metrics().to_json(2);
+  };
+  EXPECT_EQ(snapshot(), snapshot());
 }
 
 TEST(IntraBootstrap, RouterRingIsCorrect) {
@@ -690,15 +705,9 @@ TEST(IntraLeave, EphemeralLeaveRemovesBackpointerEverywhere) {
 // produced by this body on the simulator before its first-hop table, the
 // stamped source-route check and the two-slot candidate pair: a forwarding
 // change that moves any decision, hop, latency or counter moves a digest.
-class GoldenDigest {
+class GoldenDigest : public testing_support::GoldenDigest {
  public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  using testing_support::GoldenDigest::add;
   void add(const JoinStats& js) {
     add(std::uint64_t{js.ok});
     add(js.messages);
@@ -714,10 +723,6 @@ class GoldenDigest {
     add(std::uint64_t{shortest_hops});
     add(rs.trace_id);
   }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
 /// With `faulty`, a FaultInjector drops 5% and duplicates 2% of messages and
@@ -801,6 +806,100 @@ TEST(IntraGolden, DataPathSnooping) {
 
 TEST(IntraGolden, LossDupAndLinkFlap) {
   EXPECT_EQ(golden_route_digest(Config{}, true), 0xe39e245981b80341ull);
+}
+
+/// Every simulator send path under loss, duplication, corruption and jitter
+/// at once: control retries and CRC rejections, the one-shot stale-pointer
+/// teardown, greedy and ephemeral data hops, labeled replays (with `cfg`'s
+/// labels on), repair across a link flap, and shard-crossing counts.
+/// Besides the outcomes it folds every registry counter by name (msgs.* and
+/// bytes.* per category, faults.*, rofl.codec_rejected,
+/// rofl.encode_failures, shards.*) and the flight recorder's hop digest,
+/// whose fault-drop timestamps carry control-path latencies.
+void fold_corrupt_jitter_run(Config cfg, GoldenDigest& d) {
+  cfg.cache_capacity = 24;
+  TestNet t(60, 6, cfg, 2718);
+  Network& net = *t.net;
+  std::vector<std::uint32_t> shards(net.router_count());
+  for (std::size_t r = 0; r < shards.size(); ++r) shards[r] = r % 3;
+  net.set_shard_map(std::move(shards));
+  obs::FlightRecorder recorder(1 << 16);
+  net.set_flight_recorder(&recorder);
+  sim::FaultPlan plan;
+  plan.defaults.loss = 0.04;
+  plan.defaults.duplicate = 0.03;
+  plan.defaults.corrupt = 0.05;
+  plan.defaults.jitter_ms = 0.7;
+  const NodeIndex u = t.topo.pops[1].front();
+  plan.link_flaps.push_back(sim::LinkFlap{
+      u, t.topo.graph.neighbors(u).front().to, 10.0, 20.0});
+  sim::FaultInjector injector(plan, 4242, &net.simulator().metrics());
+  net.set_fault_injector(&injector);
+  net.schedule_fault_plan(plan);
+  std::vector<NodeId> ids;
+  for (std::size_t i = 0; i < 160; ++i) {
+    const Identity ident = Identity::generate(net.rng());
+    const auto gw = static_cast<NodeIndex>(net.rng().index(net.router_count()));
+    const JoinStats js = net.join_host(
+        ident, gw, i % 8 == 7 ? HostClass::kEphemeral : HostClass::kStable);
+    d.add(js);
+    if (js.ok) ids.push_back(ident.id());
+  }
+  const auto route_batch = [&] {
+    for (std::size_t i = 0; i < 300; ++i) {
+      const auto src =
+          static_cast<NodeIndex>(net.rng().index(net.router_count()));
+      const NodeId& dest = ids[net.rng().index(ids.size())];
+      // Twice per pair, so labeled runs replay their freshly installed flows.
+      d.add(net.route(src, dest), net.shortest_hops(src, dest));
+      d.add(net.route(src, dest), net.shortest_hops(src, dest));
+    }
+  };
+  route_batch();
+  for (std::size_t i = 0; i < 12; ++i) {
+    const NodeId& victim = ids[(i * 11) % ids.size()];
+    const std::optional<NodeIndex> home = net.hosting_router(victim);
+    ASSERT_TRUE(home.has_value());
+    const RepairStats rs =
+        i % 3 == 0 ? net.leave_host(victim) : net.fail_host(victim);
+    d.add(rs.messages);
+    d.add(std::uint64_t{rs.pointers_torn});
+    // A cached pointer the teardown flood missed: routing to the departed ID
+    // chases it and sends the one-shot teardown back to the cache holder.
+    const auto far =
+        static_cast<NodeIndex>((*home + 1 + i) % net.router_count());
+    net.router(far).cache().insert(victim, *home, net.map().path(far, *home));
+    d.add(net.route(far, victim), 0);
+  }
+  net.simulator().run_until(15.0);
+  route_batch();
+  net.simulator().run_until(25.0);
+  route_batch();
+  const RepairStats rs = net.repair_partitions();
+  d.add(rs.messages);
+  d.add(std::uint64_t{rs.ids_rejoined});
+  d.add_counters(net.simulator().metrics());
+  d.add(recorder.content_digest());
+  // The run reached every path it is meant to pin.
+  obs::Registry& m = net.simulator().metrics();
+  EXPECT_GT(m.counter_value(m.counter("rofl.codec_rejected")), 0u);
+  EXPECT_GT(m.counter_value(m.counter("rofl.stale_pointers")), 0u);
+  EXPECT_GT(injector.retries(), 0u);
+  EXPECT_GT(injector.duplicated(), 0u);
+  if (cfg.enable_labels) {
+    EXPECT_GT(m.counter_value(m.counter("labels.hits")), 0u);
+  }
+  net.set_fault_injector(nullptr);
+  net.set_flight_recorder(nullptr);
+}
+
+TEST(IntraGolden, LossDupCorruptionJitterAndByteCounters) {
+  GoldenDigest d;
+  fold_corrupt_jitter_run(Config{}, d);
+  Config labeled;
+  labeled.enable_labels = true;
+  fold_corrupt_jitter_run(labeled, d);
+  EXPECT_EQ(d.value(), 0x90e5cfc04b3cb0e6ull);
 }
 
 }  // namespace

@@ -215,25 +215,6 @@ struct FaultyRunResult {
   std::uint64_t retries = 0;
 };
 
-// Drops wall-clock lines (SPF recompute timings) from a metrics snapshot:
-// they measure host CPU time, not simulated behavior, so they legitimately
-// differ between two otherwise bit-identical runs.
-std::string scrub_wall_clock(const std::string& json) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < json.size()) {
-    std::size_t eol = json.find('\n', pos);
-    if (eol == std::string::npos) eol = json.size();
-    const std::string_view line(json.data() + pos, eol - pos);
-    if (line.find("recompute_ms") == std::string_view::npos) {
-      out.append(line);
-      out.push_back('\n');
-    }
-    pos = eol + 1;
-  }
-  return out;
-}
-
 FaultyRunResult run_faulty_intra(std::uint64_t seed) {
   FaultyRunResult out;
   Rng trng(seed);
@@ -301,7 +282,7 @@ FaultyRunResult run_faulty_intra(std::uint64_t seed) {
 
   out.dropped = inj.dropped();
   out.retries = inj.retries();
-  out.metrics_json = scrub_wall_clock(net.simulator().metrics().to_json());
+  out.metrics_json = net.simulator().metrics().to_json();
   out.hops = rec.all();
 
   // Faults off: the surviving state must heal to canonical rings and full
@@ -390,7 +371,7 @@ FaultyRunResult run_faulty_inter(std::uint64_t seed) {
 
   out.dropped = inj.dropped();
   out.retries = inj.retries();
-  out.metrics_json = scrub_wall_clock(net.simulator().metrics().to_json());
+  out.metrics_json = net.simulator().metrics().to_json();
 
   // Faults off: maintenance passes must converge (no work left) and restore
   // every registration that loss prevented.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_digest.hpp"
+
 namespace rofl::intra {
 namespace {
 
@@ -203,6 +205,50 @@ TEST(Session, ManyConcurrentSessions) {
   for (std::size_t k = 0; k < 30; ++k) {
     EXPECT_EQ(f.net->route(0, hosts[k].id()).delivered, alive[k]) << k;
   }
+}
+
+// Golden session outcomes on a lossy, corrupting network.  Thirty sessions,
+// a third of whose hosts die silently, ride keepalives over access links
+// that drop and garble frames; the teardowns their timeouts trigger retry
+// over the same faulty core links.  The digest folds the manager's counts
+// and every registry counter by name.  Pinned from this body before the
+// simulator layers shared one receive step.
+TEST(SessionGolden, LossAndCorruption) {
+  SessionConfig cfg;
+  cfg.keepalive_interval_ms = 50.0;
+  cfg.miss_limit = 3;
+  Fix f(cfg, 303);
+  sim::FaultPlan plan;
+  plan.defaults.loss = 0.2;
+  plan.defaults.corrupt = 0.25;
+  plan.defaults.jitter_ms = 0.3;
+  sim::FaultInjector inj(plan, 304, &f.net->simulator().metrics());
+  f.net->set_fault_injector(&inj);
+  std::vector<bool> alive(30, true);
+  for (int i = 0; i < 30; ++i) {
+    Identity ident = Identity::generate(f.net->rng());
+    const auto gw = static_cast<graph::NodeIndex>(
+        f.net->rng().index(f.net->router_count()));
+    if (!f.net->join_host(ident, gw).ok) continue;
+    const auto k = static_cast<std::size_t>(i);
+    f.sessions->track(ident.id(), [&alive, k] { return alive[k]; });
+  }
+  f.net->simulator().run_until(1'000.0);
+  for (std::size_t k = 0; k < alive.size(); k += 3) alive[k] = false;
+  f.net->simulator().run_until(4'000.0);
+  testing_support::GoldenDigest d;
+  d.add(f.sessions->keepalives_sent());
+  d.add(f.sessions->keepalives_lost());
+  d.add(f.sessions->timeouts_fired());
+  d.add(f.sessions->sessions_rehomed());
+  d.add(f.sessions->sessions_orphaned());
+  d.add(std::uint64_t{f.sessions->tracked_count()});
+  d.add_counters(f.net->simulator().metrics());
+  f.net->set_fault_injector(nullptr);
+  EXPECT_GT(inj.corrupted(), 0u);
+  EXPECT_GT(f.sessions->keepalives_lost(), 0u);
+  EXPECT_GT(f.sessions->timeouts_fired(), 0u);
+  EXPECT_EQ(d.value(), 0x6883f2dba2e5b9e3ull);
 }
 
 }  // namespace

@@ -31,20 +31,20 @@ TEST(Timeline, DegenerateConfigIsSanitizedToDefaults) {
   for (const double bad :
        {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
         std::numeric_limits<double>::infinity()}) {
-    Timeline tl(&reg, Timeline::Config{bad, 8, {}});
+    Timeline tl(&reg, Timeline::Config{bad, 8});
     EXPECT_EQ(tl.window_ms(), defaults.window_ms);
     reg.add(c, 1);
     tl.flush(10.0);  // must terminate and attribute normally
     ASSERT_GE(tl.size(), 1u);
   }
-  Timeline zero_cap(&reg, Timeline::Config{10.0, 0, {}});
+  Timeline zero_cap(&reg, Timeline::Config{10.0, 0});
   EXPECT_EQ(zero_cap.capacity(), defaults.capacity);
 }
 
 TEST(Timeline, DeltasLandInTheWindowContainingTheActivity) {
   Registry reg;
   const MetricId c = reg.counter("ops");
-  Timeline tl(&reg, Timeline::Config{10.0, 64, {}});
+  Timeline tl(&reg, Timeline::Config{10.0, 64});
 
   reg.add(c, 3);       // before any close: belongs to window 0
   tl.advance_to(25.0); // closes windows 0 and 1
@@ -63,7 +63,7 @@ TEST(Timeline, BaselineSnapshotExcludesPreCreationActivity) {
   const MetricId c = reg.counter("ops");
   reg.add(c, 100);  // setup burst before the timeline attaches
 
-  Timeline tl(&reg, Timeline::Config{10.0, 64, {}});
+  Timeline tl(&reg, Timeline::Config{10.0, 64});
   reg.add(c, 7);
   tl.flush(0.0);
 
@@ -74,7 +74,7 @@ TEST(Timeline, BaselineSnapshotExcludesPreCreationActivity) {
 TEST(Timeline, SimulatorAdvancesWindowsOnTheSimClock) {
   sim::Simulator sim;
   const MetricId c = sim.metrics().counter("work");
-  Timeline tl(&sim.metrics(), Timeline::Config{10.0, 64, {}});
+  Timeline tl(&sim.metrics(), Timeline::Config{10.0, 64});
   sim.set_timeline(&tl);
 
   Registry* reg = &sim.metrics();
@@ -98,7 +98,7 @@ TEST(Timeline, SimulatorAdvancesWindowsOnTheSimClock) {
 TEST(Timeline, RingCapacityEvictsOldestWindows) {
   Registry reg;
   const MetricId c = reg.counter("ops");
-  Timeline tl(&reg, Timeline::Config{10.0, 4, {}});
+  Timeline tl(&reg, Timeline::Config{10.0, 4});
 
   for (int w = 0; w < 10; ++w) {
     reg.add(c, static_cast<std::uint64_t>(w + 1));
@@ -115,7 +115,7 @@ TEST(Timeline, RingCapacityEvictsOldestWindows) {
 TEST(Timeline, GaugesReportValueAtWindowClose) {
   Registry reg;
   const MetricId g = reg.gauge("depth");
-  Timeline tl(&reg, Timeline::Config{10.0, 64, {}});
+  Timeline tl(&reg, Timeline::Config{10.0, 64});
 
   reg.set(g, 3.0);
   tl.advance_to(10.0);
@@ -130,7 +130,7 @@ TEST(Timeline, GaugesReportValueAtWindowClose) {
 TEST(Timeline, HistogramWindowsCarryBucketDeltasAndPercentiles) {
   Registry reg;
   const MetricId h = reg.histogram("hops", std::vector<double>{1.0, 2.0, 4.0});
-  Timeline tl(&reg, Timeline::Config{10.0, 64, {}});
+  Timeline tl(&reg, Timeline::Config{10.0, 64});
 
   reg.observe(h, 1.0);
   reg.observe(h, 3.0);
@@ -158,8 +158,8 @@ TEST(Timeline, MergeIsCommutativeAndGaugesTakeTheMax) {
   const MetricId c2 = r2.counter("ops");
   const MetricId g2 = r2.gauge("depth");
 
-  Timeline a(&r1, Timeline::Config{10.0, 64, {}});
-  Timeline b(&r2, Timeline::Config{10.0, 64, {}});
+  Timeline a(&r1, Timeline::Config{10.0, 64});
+  Timeline b(&r2, Timeline::Config{10.0, 64});
   r1.add(c1, 3);
   r1.set(g1, 5.0);
   a.flush(0.0);
@@ -167,10 +167,10 @@ TEST(Timeline, MergeIsCommutativeAndGaugesTakeTheMax) {
   r2.set(g2, 2.0);
   b.flush(15.0);  // b closes windows 0 and 1; a only window 0
 
-  Timeline ab(Timeline::Config{10.0, 64, {}});
+  Timeline ab(Timeline::Config{10.0, 64});
   ab.merge_from(a);
   ab.merge_from(b);
-  Timeline ba(Timeline::Config{10.0, 64, {}});
+  Timeline ba(Timeline::Config{10.0, 64});
   ba.merge_from(b);
   ba.merge_from(a);
 
@@ -209,7 +209,7 @@ TEST(Timeline, TraceSinkEmitsCounterEventsAtWindowClose) {
   const MetricId c = reg.counter("ops");
   (void)reg.counter("quiet");  // zero delta: must not emit a track
   Tracer tracer;
-  Timeline tl(&reg, Timeline::Config{10.0, 64, {}});
+  Timeline tl(&reg, Timeline::Config{10.0, 64});
   tl.set_trace_sink(&tracer, 2);
 
   reg.add(c, 9);
@@ -220,21 +220,6 @@ TEST(Timeline, TraceSinkEmitsCounterEventsAtWindowClose) {
   EXPECT_NE(json.find("\"ops\""), std::string::npos);
   EXPECT_EQ(json.find("\"quiet\""), std::string::npos);
   EXPECT_NE(json.find("\"value\": 9"), std::string::npos);
-}
-
-TEST(Timeline, ExcludedNamesNeverAppearInExports) {
-  Registry reg;
-  const MetricId wall = reg.counter("spf.recompute_ms.calls");
-  const MetricId ok = reg.counter("ops");
-  Timeline tl(&reg, Timeline::Config{10.0, 64, {"recompute_ms"}});
-
-  reg.add(wall, 5);
-  reg.add(ok, 2);
-  tl.flush(0.0);
-
-  const std::string jsonl = tl.to_jsonl();
-  EXPECT_EQ(jsonl.find("recompute_ms"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"ops\": 2"), std::string::npos);
 }
 
 TEST(EngineProfiler, AttributesBusyTimePerKindAndExportsJson) {

@@ -300,6 +300,16 @@ TEST(Packet, FragmentsAgainstMtu) {
   EXPECT_GE(p.fragments(1500), 4u);
 }
 
+TEST(Packet, HopPacketsIsTheMtuCeilingAndAtLeastOne) {
+  // The simulators' one pricing rule: an empty frame still costs a packet,
+  // and section 6.3's 1638-byte JoinRequest costs two per hop.
+  EXPECT_EQ(hop_packets(0), 1u);
+  EXPECT_EQ(hop_packets(kDefaultMtu), 1u);
+  EXPECT_EQ(hop_packets(kDefaultMtu + 1), 2u);
+  EXPECT_EQ(hop_packets(1638), 2u);
+  EXPECT_EQ(hop_packets(3 * kDefaultMtu + 1), 4u);
+}
+
 TEST(Packet, FragmentsRejectsMtuBelowFramingOverhead) {
   // Regression: an MTU at or below the fixed per-fragment framing overhead
   // (54 bytes: header, addresses, trace id, counts, length, CRC) can carry

@@ -70,14 +70,6 @@ struct Args {
     const auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
-  std::uint64_t num(const std::string& k, std::uint64_t dflt) const {
-    const auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::stoull(it->second);
-  }
-  double dbl(const std::string& k, double dflt) const {
-    const auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::stod(it->second);
-  }
 };
 
 Args parse(int argc, char** argv, int from) {
@@ -95,59 +87,6 @@ Args parse(int argc, char** argv, int from) {
   return a;
 }
 
-/// Validated --timeline-window: obs::Timeline silently repairs a degenerate
-/// width back to its default, so the CLI rejects one loudly instead of
-/// letting "--timeline-window 0" sample at a width the user never asked for.
-double timeline_window_arg(const Args& a, double dflt) {
-  const double w = a.dbl("timeline-window", dflt);
-  if (!std::isfinite(w) || w <= 0.0) {
-    std::cerr << "--timeline-window must be a positive width in ms (got "
-              << a.str("timeline-window", "") << ")\n";
-    std::exit(2);
-  }
-  return w;
-}
-
-/// Numeric option that must be a strictly positive integer.  Args::num
-/// funnels through stoull, which silently wraps "-2" to a huge value, so the
-/// raw string is inspected: "--shards 0" or "--shards -2" exits 2 with usage
-/// instead of running a configuration the engine cannot mean.
-std::uint64_t positive_num_arg(const Args& a, const std::string& key,
-                               std::uint64_t dflt) {
-  const auto it = a.kv.find(key);
-  if (it == a.kv.end()) return dflt;
-  const std::uint64_t v =
-      it->second.find('-') == std::string::npos ? a.num(key, dflt) : 0;
-  if (v == 0) {
-    std::cerr << "--" << key << " must be a positive integer (got '"
-              << it->second << "')\n\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Integer option confined to [lo, hi].  The raw string is parsed whole, so
-/// a sign, trailing junk, or a value past `hi` exits 2 with usage instead of
-/// wrapping through stoull ("-1" becomes 2^64-1) or truncating in the cast to
-/// a narrower field ("--base-port 70000" becomes port 4464).
-std::uint64_t ranged_num_arg(const Args& a, const std::string& key,
-                             std::uint64_t dflt, std::uint64_t lo,
-                             std::uint64_t hi) {
-  const auto it = a.kv.find(key);
-  if (it == a.kv.end()) return dflt;
-  const std::string& s = it->second;
-  std::uint64_t v = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || end != s.data() + s.size() || v < lo || v > hi) {
-    std::cerr << "--" << key << " must be an integer in [" << lo << ", " << hi
-              << "] (got '" << s << "')\n\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
 /// Upper bound of a count the engines iterate (hosts, routes, churn
 /// operations, IDs, probes): far past any run, and it fits the 32-bit
 /// fields some counts land in (`net --lookups`).
@@ -160,29 +99,57 @@ constexpr std::uint64_t kMaxScheduled = 1'000'000;
 /// table per router, so memory grows with the square of this.
 constexpr std::uint64_t kMaxRouters = 4096;
 
-/// Non-negative numeric option (durations, rates-per-second): a negative or
-/// non-finite value exits 2 with usage rather than reaching an engine that
-/// would misbehave quietly (a negative lookahead, say, deadlocks the
-/// conservative sync protocol instead of erroring).
-double nonneg_dbl_arg(const Args& a, const std::string& key, double dflt) {
-  const double v = a.dbl(key, dflt);
-  if (!std::isfinite(v) || v < 0.0) {
-    std::cerr << "--" << key << " must be a non-negative number (got '"
-              << a.str(key, "") << "')\n\n";
+/// Integer option confined to [lo, hi]; every integer flag is read here.
+/// The raw string is parsed whole, so junk ("abc"), a sign, or a value past
+/// `hi` exits 2 with usage instead of aborting on an uncaught exception,
+/// wrapping ("-1" as 2^64-1) or truncating in the cast to a narrower field
+/// ("--base-port 70000" as port 4464).
+std::uint64_t ranged_num_arg(const Args& a, const std::string& key,
+                             std::uint64_t dflt, std::uint64_t lo,
+                             std::uint64_t hi) {
+  const auto it = a.kv.find(key);
+  if (it == a.kv.end()) return dflt;
+  const std::string& s = it->second;
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || v < lo || v > hi) {
+    std::cerr << "--" << key << " must be ";
+    // A count bounded only by "at least one" says so in words.
+    if (lo == 1 && hi == kMaxCount) {
+      std::cerr << "a positive integer";
+    } else {
+      std::cerr << "an integer in [" << lo << ", " << hi << "]";
+    }
+    std::cerr << " (got '" << s << "')\n\n";
     usage();
     std::exit(2);
   }
   return v;
 }
 
-/// Strictly positive numeric option (tick widths, lookahead): zero or
-/// negative exits 2 with usage.  A zero-width tick or a zero lookahead never
-/// advances the engine, so the run would spin forever instead of erroring.
-double positive_dbl_arg(const Args& a, const std::string& key, double dflt) {
-  const double v = a.dbl(key, dflt);
-  if (!std::isfinite(v) || v <= 0.0) {
-    std::cerr << "--" << key << " must be a positive number (got '"
-              << a.str(key, "") << "')\n\n";
+/// --seed, which every command takes: any 64-bit value, 1 by default.
+std::uint64_t seed_arg(const Args& a) {
+  return ranged_num_arg(a, "seed", 1, 0,
+                        std::numeric_limits<std::uint64_t>::max());
+}
+
+/// Real-valued option (durations, widths, rates): finite and non-negative,
+/// and with `positive` also nonzero.  Junk, a sign or a non-finite value
+/// exits 2 with usage rather than reaching an engine that would misbehave
+/// quietly: a negative lookahead deadlocks the conservative sync protocol,
+/// and a zero tick, lookahead or audit interval never advances its clock.
+double real_arg(const Args& a, const std::string& key, double dflt,
+                bool positive = false) {
+  const auto it = a.kv.find(key);
+  if (it == a.kv.end()) return dflt;
+  const std::string& s = it->second;
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || !std::isfinite(v) ||
+      v < 0.0 || (positive && v == 0.0)) {
+    std::cerr << "--" << key << " must be a "
+              << (positive ? "positive" : "non-negative") << " number (got '"
+              << s << "')\n\n";
     usage();
     std::exit(2);
   }
@@ -194,7 +161,7 @@ double positive_dbl_arg(const Args& a, const std::string& key, double dflt) {
 /// because the fault injector would otherwise accept 1.2 and behave as 1.0
 /// without comment).
 double rate_arg(const Args& a, const std::string& key, double dflt) {
-  double v = nonneg_dbl_arg(a, key, dflt);
+  double v = real_arg(a, key, dflt);
   if (v > 1.0) {
     std::cerr << "warning: --" << key << " " << v
               << " clamped to 1.0 (probabilities cap at 1)\n";
@@ -280,7 +247,7 @@ struct ObsSession {
   explicit ObsSession(const Args& a)
       : trace_path(a.str("trace", "")),
         timeline_path(a.str("timeline", "")),
-        timeline_window_ms(timeline_window_arg(a, 25.0)),
+        timeline_window_ms(real_arg(a, "timeline-window", 25.0, true)),
         want_trace(!a.str("trace", "").empty()),
         want_route_dump(a.flag("traceroute")),
         want_metrics(a.flag("metrics")) {}
@@ -294,12 +261,8 @@ struct ObsSession {
       sim.set_tracer(&tracer);
     }
     if (!timeline_path.empty()) {
-      // SPF recompute histograms measure host CPU; exclude them so two
-      // same-seed timeline files byte-compare (same rule as --metrics-json).
       timeline = std::make_unique<obs::Timeline>(
-          &sim.metrics(),
-          obs::Timeline::Config{timeline_window_ms, 1 << 16,
-                                {"recompute_ms"}});
+          &sim.metrics(), obs::Timeline::Config{timeline_window_ms, 1 << 16});
       sim.set_timeline(timeline.get());
       // Live counter tracks: every window close lands "ph":"C" samples in
       // the trace, in sim-clock order, so Perfetto graphs them as series.
@@ -340,7 +303,7 @@ struct ObsSession {
 };
 
 int cmd_topology(const Args& a) {
-  Rng rng(a.num("seed", 1));
+  Rng rng(seed_arg(a));
   if (a.flag("internet")) {
     graph::AsGenParams p;
     const auto topo = graph::AsTopology::make_internet_like(p, rng);
@@ -382,7 +345,7 @@ int cmd_topology(const Args& a) {
 
 int cmd_intra(const Args& a) {
   const RunSummary summary;
-  const std::uint64_t seed = a.num("seed", 1);
+  const std::uint64_t seed = seed_arg(a);
   Rng rng(seed);
   const auto topo = isp_from_args(a, rng);
   // Counts are validated whole: "--routes -1" would otherwise wrap to
@@ -461,7 +424,7 @@ int cmd_intra(const Args& a) {
 
 int cmd_inter(const Args& a) {
   const RunSummary summary;
-  const std::uint64_t seed = a.num("seed", 1);
+  const std::uint64_t seed = seed_arg(a);
   Rng rng(seed);
   graph::AsGenParams gp;
   const auto topo = graph::AsTopology::make_internet_like(gp, rng);
@@ -536,7 +499,7 @@ int cmd_inter(const Args& a) {
 
 int cmd_partition(const Args& a) {
   const RunSummary summary;
-  const std::uint64_t seed = a.num("seed", 1);
+  const std::uint64_t seed = seed_arg(a);
   Rng rng(seed);
   graph::IspTopology topo = isp_from_args(a, rng);
   ObsSession watch(a);
@@ -583,7 +546,7 @@ int cmd_partition(const Args& a) {
 
 int cmd_faults(const Args& a) {
   const RunSummary summary;
-  const std::uint64_t seed = a.num("seed", 1);
+  const std::uint64_t seed = seed_arg(a);
   Rng rng(seed);
   graph::IspTopology topo = isp_from_args(a, rng);
   ObsSession watch(a);
@@ -596,7 +559,7 @@ int cmd_faults(const Args& a) {
   sim::FaultPlan plan;
   plan.defaults.loss = rate_arg(a, "loss", 0.05);
   plan.defaults.duplicate = rate_arg(a, "dup", 0.0);
-  plan.defaults.jitter_ms = nonneg_dbl_arg(a, "jitter", 0.0);
+  plan.defaults.jitter_ms = real_arg(a, "jitter", 0.0);
   plan.defaults.corrupt = rate_arg(a, "corrupt", 0.0);
   const std::uint64_t flap_count =
       ranged_num_arg(a, "flaps", 0, 0, kMaxScheduled);
@@ -668,9 +631,7 @@ int cmd_faults(const Args& a) {
   net.simulator().run_until(t + 200.0);  // every scheduled window closed
 
   // Snapshot before the faults-off repair so two same-seed runs compare the
-  // faulty phase, not whatever repair did afterwards.  Wall-clock histograms
-  // (SPF recompute times) are excluded: they measure host CPU, not simulated
-  // behavior, and would break byte-for-byte comparison.
+  // faulty phase, not whatever repair did afterwards.
   const std::string metrics_path = a.str("metrics-json", "");
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path);
@@ -678,11 +639,7 @@ int cmd_faults(const Args& a) {
       std::cerr << "cannot write " << metrics_path << "\n";
       return 1;
     }
-    std::istringstream in(net.simulator().metrics().to_json(2));
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.find("recompute_ms") == std::string::npos) out << line << "\n";
-    }
+    out << net.simulator().metrics().to_json(2) << "\n";
     std::cout << "metrics written to " << metrics_path << "\n";
   }
 
@@ -725,11 +682,11 @@ int cmd_faults(const Args& a) {
 
 int cmd_audit(const Args& a) {
   const RunSummary summary;
-  const std::uint64_t seed = a.num("seed", 1);
+  const std::uint64_t seed = seed_arg(a);
 
   audit::ChurnConfig cc;
   cc.events = ranged_num_arg(a, "events", 200, 0, kMaxScheduled);
-  cc.end_ms = a.dbl("end", 400.0);
+  cc.end_ms = real_arg(a, "end", 400.0);
 
   audit::ChurnRunParams params;
   params.router_count = ranged_num_arg(a, "routers", 60, 2, kMaxRouters);
@@ -738,11 +695,12 @@ int cmd_audit(const Args& a) {
       ranged_num_arg(a, "initial-hosts", 64, 0, kMaxCount);
   const std::uint64_t shrink_probes =
       ranged_num_arg(a, "shrink-probes", 2000, 0, kMaxCount);
-  params.audit_interval_ms = a.dbl("audit-interval", 25.0);
-  params.settle_ms = a.dbl("settle", 300.0);
+  // A zero interval would schedule audits without end.
+  params.audit_interval_ms = real_arg(a, "audit-interval", 25.0, true);
+  params.settle_ms = real_arg(a, "settle", 300.0);
   params.seed = seed;
   if (!a.str("timeline", "").empty()) {
-    params.timeline_window_ms = timeline_window_arg(a, 25.0);
+    params.timeline_window_ms = real_arg(a, "timeline-window", 25.0, true);
   }
   params.net_cfg.enable_labels = a.flag("labels");
   const double loss = rate_arg(a, "loss", 0.0);
@@ -853,20 +811,22 @@ std::uint64_t max_mesh_fingers() {
 /// driver-generated flags takes the same path as a hand-typed run.
 net::MeshConfig mesh_config_from_args(const Args& a) {
   net::MeshConfig cfg;
-  cfg.routers = static_cast<std::uint32_t>(positive_num_arg(a, "routers", 8));
-  cfg.hosts = static_cast<std::uint32_t>(positive_num_arg(a, "hosts", 400));
+  cfg.routers =
+      static_cast<std::uint32_t>(ranged_num_arg(a, "routers", 8, 1, kMaxCount));
+  cfg.hosts =
+      static_cast<std::uint32_t>(ranged_num_arg(a, "hosts", 400, 1, kMaxCount));
   cfg.fingers = static_cast<std::uint32_t>(
       ranged_num_arg(a, "fingers", 256, 1, max_mesh_fingers()));
-  cfg.seed = a.num("seed", 1);
+  cfg.seed = seed_arg(a);
   cfg.conditions.loss = rate_arg(a, "loss", 0.0);
   cfg.conditions.duplicate = rate_arg(a, "dup", 0.0);
   cfg.conditions.corrupt = rate_arg(a, "corrupt", 0.0);
-  cfg.conditions.jitter_ms = nonneg_dbl_arg(a, "jitter", 0.0);
-  cfg.rate_pps = nonneg_dbl_arg(a, "rate", 0.0);
-  cfg.deadline_ms =
-      static_cast<double>(positive_num_arg(a, "deadline-ms", 60'000));
+  cfg.conditions.jitter_ms = real_arg(a, "jitter", 0.0);
+  cfg.rate_pps = real_arg(a, "rate", 0.0);
+  cfg.deadline_ms = real_arg(a, "deadline-ms", 60'000.0, true);
   cfg.max_outstanding =
-      static_cast<std::uint32_t>(positive_num_arg(a, "outstanding", 8));
+      static_cast<std::uint32_t>(ranged_num_arg(a, "outstanding", 8, 1,
+                                                kMaxCount));
   cfg.base_port =
       static_cast<std::uint16_t>(ranged_num_arg(a, "base-port", 47'100, 1,
                                                 65'535));
@@ -880,7 +840,7 @@ net::MeshConfig mesh_config_from_args(const Args& a) {
     std::exit(2);
   }
   if (!a.str("timeline", "").empty()) {
-    cfg.timeline_window_ms = timeline_window_arg(a, 25.0);
+    cfg.timeline_window_ms = real_arg(a, "timeline-window", 25.0, true);
   }
   const std::string backend = a.str("backend", "udp");
   if (backend == "loopback") {
@@ -1058,27 +1018,27 @@ int cmd_net(const Args& a, const char* argv0) {
 int cmd_shard(const Args& a) {
   const RunSummary summary;
   inter::ScaleParams p;
-  p.seed = a.num("seed", 1);
-  p.shards = static_cast<std::uint32_t>(positive_num_arg(a, "shards", 1));
-  p.hosts = a.num("hosts", 100'000);
-  p.duration_ms = a.dbl("duration", 2000.0);
-  p.tick_ms = positive_dbl_arg(a, "tick", 50.0);
-  p.op_rate_per_host_hz = nonneg_dbl_arg(a, "rate", 1.0);
+  p.seed = seed_arg(a);
+  p.shards =
+      static_cast<std::uint32_t>(ranged_num_arg(a, "shards", 1, 1, kMaxCount));
+  p.hosts = ranged_num_arg(a, "hosts", 100'000, 0, kMaxCount);
+  p.duration_ms = real_arg(a, "duration", 2000.0);
+  p.tick_ms = real_arg(a, "tick", 50.0, true);
+  p.op_rate_per_host_hz = real_arg(a, "rate", 1.0);
   // The conservative sync needs a positive lookahead across shards; one
   // shard never waits on a horizon, so zero is fine there.
-  p.lookahead_ms = p.shards > 1 ? positive_dbl_arg(a, "lookahead", 1.0)
-                                : nonneg_dbl_arg(a, "lookahead", 1.0);
-  p.slots_per_as = static_cast<std::uint32_t>(positive_num_arg(a, "slots", 64));
+  p.lookahead_ms = real_arg(a, "lookahead", 1.0, p.shards > 1);
+  p.slots_per_as =
+      static_cast<std::uint32_t>(ranged_num_arg(a, "slots", 64, 1, kMaxCount));
   // --ases scales the default AS mix proportionally (default 1518 total).
-  const double scale = a.dbl("ases", 0.0) > 0.0
-                           ? a.dbl("ases", 0.0) / 1518.0
-                           : 1.0;
+  const double ases = real_arg(a, "ases", 0.0);
+  const double scale = ases > 0.0 ? ases / 1518.0 : 1.0;
   p.topo.tier2_count = static_cast<std::size_t>(60.0 * scale);
   p.topo.tier3_count = static_cast<std::size_t>(250.0 * scale);
   p.topo.stub_count = static_cast<std::size_t>(1200.0 * scale);
   const std::string timeline_path = a.str("timeline", "");
   if (!timeline_path.empty()) {
-    p.timeline_window_ms = timeline_window_arg(a, 50.0);
+    p.timeline_window_ms = real_arg(a, "timeline-window", 50.0, true);
     p.timeline_capacity = 1 << 16;
   }
   p.profile = a.flag("profile");
@@ -1219,7 +1179,7 @@ int cmd_timeline(const Args& a) {
     return 1;
   }
   const std::string filter = a.str("metric", "");
-  const std::size_t width = a.num("width", 56);
+  const std::size_t width = ranged_num_arg(a, "width", 56, 1, kMaxCount);
 
   std::map<std::string, std::vector<std::uint64_t>> series;
   std::size_t windows = 0;
