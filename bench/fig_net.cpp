@@ -1,7 +1,7 @@
 // fig_net -- live-mesh throughput and join-storm convergence (BENCH_net.json).
 //
 // Everything else in bench/ measures the simulator; this bench measures the
-// real-packet path (DESIGN.md section 16): LiveRouter event loops exchanging
+// real-packet path (DESIGN.md section 15): LiveRouter event loops exchanging
 // wire frames through the transport pump, over the in-process loopback hub
 // and over actual localhost UDP sockets.  Cells:
 //

@@ -19,7 +19,6 @@
 
 #include "bench/emit_json.hpp"
 #include "graph/isp_topology.hpp"
-#include "rofl/label_table.hpp"
 #include "rofl/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/bloom.hpp"
@@ -321,7 +320,7 @@ void BM_VnBestMatchSizedMapBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_VnBestMatchSizedMapBaseline)->Arg(1024)->Arg(65536);
 
-// -- label-switched fast path: per-hop decision A/B (DESIGN.md section 15) --
+// -- per-hop forwarding decision --------------------------------------------
 
 void BM_HopDecisionGreedy(benchmark::State& state) {
   // What a greedy data packet pays at every router it crosses: the
@@ -339,26 +338,6 @@ void BM_HopDecisionGreedy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HopDecisionGreedy);
-
-void BM_HopDecisionLabeled(benchmark::State& state) {
-  // The same decision once the flow's labels are installed: one bounds
-  // check and one dense-array index in the router's LabelTable.  The label
-  // set cycles so the branch predictor cannot lock onto a single slot.
-  intra::LabelTable table;
-  Rng rng(12);
-  std::vector<std::uint32_t> labels;
-  labels.reserve(4096);
-  for (int i = 0; i < 4096; ++i) {
-    labels.push_back(table.install(NodeId(rng.next_u64(), rng.next_u64()),
-                                   static_cast<graph::NodeIndex>(i % 64),
-                                   intra::kNoLabel));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(labels[i++ % labels.size()]));
-  }
-}
-BENCHMARK(BM_HopDecisionLabeled);
 
 // -- event loop: slab/SBO/4-ary-heap simulator vs priority_queue+function ---
 
@@ -450,57 +429,6 @@ void BM_IntraGreedyRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_IntraGreedyRoute);
 
-// Same topology/population as WarmNetwork but with the label fast path on
-// and a fixed flow set pre-routed once, so the timed loop measures routes
-// served off installed label chains (labels.hits, not installs).
-struct WarmLabeledNetwork {
-  graph::IspTopology topo;
-  std::unique_ptr<intra::Network> net;
-  std::vector<std::pair<graph::NodeIndex, NodeId>> flows;
-
-  WarmLabeledNetwork() {
-    Rng trng(6);
-    topo = graph::make_rocketfuel_like(graph::RocketfuelAs::kAs3967, trng);
-    intra::Config cfg;
-    cfg.cache_capacity = 4096;
-    cfg.enable_labels = true;
-    net = std::make_unique<intra::Network>(&topo, cfg, 7);
-    std::vector<NodeId> ids;
-    for (int i = 0; i < 2000; ++i) {
-      const Identity ident = Identity::generate(net->rng());
-      const auto gw = static_cast<graph::NodeIndex>(
-          net->rng().index(net->router_count()));
-      if (net->join_host(ident, gw).ok) ids.push_back(ident.id());
-    }
-    Rng frng(9);
-    for (int i = 0; i < 256; ++i) {
-      const NodeId dest = ids[frng.index(ids.size())];
-      const auto src =
-          static_cast<graph::NodeIndex>(frng.index(net->router_count()));
-      (void)net->route(src, dest);  // greedy walk; installs the chain
-      flows.emplace_back(src, dest);
-    }
-  }
-};
-
-WarmLabeledNetwork& warm_labeled() {
-  static WarmLabeledNetwork w;
-  return w;
-}
-
-void BM_IntraLabeledRoute(benchmark::State& state) {
-  // End-to-end counterpart of BM_IntraGreedyRoute: every route replays an
-  // installed label chain, so the delta against the greedy bench is the
-  // whole-route payoff of the per-hop A/B above.
-  WarmLabeledNetwork& w = warm_labeled();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [src, dest] = w.flows[i++ % w.flows.size()];
-    benchmark::DoNotOptimize(w.net->route(src, dest));
-  }
-}
-BENCHMARK(BM_IntraLabeledRoute);
-
 void BM_IntraJoin(benchmark::State& state) {
   WarmNetwork& w = warm();
   for (auto _ : state) {
@@ -589,19 +517,6 @@ std::string warm_metrics_snapshot() {
   m.set_counter(m.counter("rofl.cache.evictions"), totals.evictions);
   m.set_counter(m.counter("rofl.cache.stale_drops"), totals.stale_drops);
   m.set_counter(m.counter("rofl.cache.entries"), totals.entries);
-  // Label fast-path effectiveness from the labeled fixture, re-namespaced
-  // into the snapshot registry so one JSON records both fixtures.
-  WarmLabeledNetwork& lw = warm_labeled();
-  obs::Registry& lm = lw.net->simulator().metrics();
-  const intra::Network::LabelTotals lt = lw.net->label_totals();
-  m.set_counter(m.counter("rofl.labels.flows"), lt.flows);
-  m.set_counter(m.counter("rofl.labels.entries"), lt.entries);
-  for (const char* name :
-       {"labels.installed", "labels.hits", "labels.misses",
-        "labels.teardowns", "labels.bytes_saved"}) {
-    m.set_counter(m.counter(std::string("rofl.") + name),
-                  lm.counter_value(lm.counter(name)));
-  }
   return m.to_json(2);
 }
 

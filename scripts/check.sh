@@ -83,31 +83,21 @@ build/tools/roflsim audit --events 120 --initial-hosts 32 --seed 11 \
   --loss 0.05 > /dev/null
 grep -q '"audit.runs"' build/audit_run1.json
 
-# Label-equivalence smoke: the label-switched fast path may change per-hop
-# cost and byte counters, never route outcomes (DESIGN.md section 15).  A
-# labels-on run under loss+duplication must converge with zero hard
-# violations (the intra.label.* auditor checks are active), its "routes
-# digest" must be byte-identical to the labels-off run of the same seed and
-# schedule, and a same-seed labels-on double run must produce byte-identical
-# metrics snapshots.  The digest is also pinned, so a forwarding change that
-# moves labels-on and labels-off alike still fails here.
+# Routes-digest pin: the faulty churn run routes every flow twice and folds
+# both outcomes into its "routes digest".  A same-seed double run under
+# loss+duplication must produce byte-identical metrics and digests, and the
+# digest is pinned, so a forwarding change that moves any route outcome fails
+# here even though both runs move alike.
 build/tools/roflsim audit --events 120 --initial-hosts 32 --seed 11 \
-  --loss 0.05 --dup 0.02 --labels --metrics-json build/labels_run1.json \
-  > build/labels_out1.txt
+  --loss 0.05 --dup 0.02 --metrics-json build/routes_run1.json \
+  > build/routes_out1.txt
 build/tools/roflsim audit --events 120 --initial-hosts 32 --seed 11 \
-  --loss 0.05 --dup 0.02 --labels --metrics-json build/labels_run2.json \
-  > build/labels_out2.txt
-build/tools/roflsim audit --events 120 --initial-hosts 32 --seed 11 \
-  --loss 0.05 --dup 0.02 --metrics-json build/labels_off.json \
-  > build/labels_off.txt
-cmp build/labels_run1.json build/labels_run2.json
-cmp <(grep 'routes digest' build/labels_out1.txt) \
-    <(grep 'routes digest' build/labels_out2.txt)
-cmp <(grep 'routes digest' build/labels_out1.txt) \
-    <(grep 'routes digest' build/labels_off.txt)
-grep -q 'routes digest.*fnv=19b882c9a49ae42a' build/labels_out1.txt
-grep -q '"labels.installed"' build/labels_run1.json
-grep -q '"labels.hits"' build/labels_run1.json
+  --loss 0.05 --dup 0.02 --metrics-json build/routes_run2.json \
+  > build/routes_out2.txt
+cmp build/routes_run1.json build/routes_run2.json
+cmp <(grep 'routes digest' build/routes_out1.txt) \
+    <(grep 'routes digest' build/routes_out2.txt)
+grep -q 'routes digest.*fnv=19b882c9a49ae42a' build/routes_out1.txt
 
 # Shard-determinism smoke: the same seeded scale scenario at 1 and 4 shards
 # must produce byte-identical merged metrics and identical flight-recorder /
@@ -123,6 +113,9 @@ build/tools/roflsim shard --shards 4 --hosts 20000 --ases 400 \
 cmp build/shard_run1.json build/shard_run4.json
 cmp <(grep -E 'flight digest|shard audit' build/shard_out1.txt) \
     <(grep -E 'flight digest|shard audit' build/shard_out4.txt)
+# Pinned too: a change that moves both shard counts alike (renumbering a
+# flight-recorder hop kind, say) still fails.
+grep -q 'flight digest: 0x3359663f4624b6f4' build/shard_out1.txt
 grep -q '"scale.ops.lookup"' build/shard_run1.json
 
 # Timeline-determinism smoke: the merged timeline (per-window counter deltas,
@@ -140,7 +133,7 @@ grep -q '"run"' build/shard_tl1.jsonl
 build/tools/roflsim timeline --file build/shard_tl1.jsonl \
   --metric sim.events > /dev/null
 
-# Net smoke: the control plane over actual sockets (DESIGN.md section 16).
+# Net smoke: the control plane over actual sockets (DESIGN.md section 15).
 # An 8-router live UDP mesh must converge its join storm with a clean ring
 # audit (roflsim exits nonzero otherwise), also under loss + duplication;
 # the deterministic loopback backend must hit the section 6.3 byte-parity

@@ -179,7 +179,6 @@ void Auditor::check_intra(AuditReport& rep) {
   check_intra_directory(rep);
   check_intra_caches(rep);
   check_intra_ephemerals(rep);
-  check_intra_labels(rep);
 }
 
 void Auditor::check_intra_ring(AuditReport& rep) {
@@ -410,98 +409,6 @@ void Auditor::check_intra_ephemerals(AuditReport& rep) {
             obs::HopDomain::kIntra, i, id);
       }
     }
-  }
-}
-
-void Auditor::check_intra_labels(AuditReport& rep) {
-  // Label-switched fast-path bookkeeping is synchronous with the mutations
-  // that invalidate it (flush_labels runs before any topology or ring state
-  // changes), so every check here stays hard even under an active fault
-  // injector: there is no message whose loss could legitimately leave a
-  // label behind.
-  const auto& flows = net_->label_flows();
-  // Every (router, label) pair an installed flow claims, for the orphan scan.
-  std::map<std::pair<graph::NodeIndex, std::uint32_t>, NodeId> claimed;
-  for (const auto& [key, flow] : flows) {
-    const auto& [src, dest] = key;
-    ++rep.checks;
-    if (flow.path.size() < 2 || flow.labels.size() != flow.path.size() ||
-        flow.path.front() != src) {
-      add(rep, Severity::kHard, "intra.label.flow-shape",
-          "label flow " + dest.to_string() + " from router " +
-              std::to_string(src) + " is malformed (" +
-              std::to_string(flow.path.size()) + " hops, " +
-              std::to_string(flow.labels.size()) + " labels)",
-          obs::HopDomain::kIntra, static_cast<std::uint32_t>(src), dest);
-      continue;
-    }
-    // Labels die with their pointer path: the terminal must still host the
-    // destination and every link of the path must be up.
-    ++rep.checks;
-    if (!net_->router(flow.path.back()).hosts(dest)) {
-      add(rep, Severity::kHard, "intra.label.dest-gone",
-          "label flow from router " + std::to_string(src) + " terminates at " +
-              "router " + std::to_string(flow.path.back()) +
-              " which no longer hosts " + dest.to_string(),
-          obs::HopDomain::kIntra,
-          static_cast<std::uint32_t>(flow.path.back()), dest);
-    }
-    ++rep.checks;
-    if (!net_->map().route_valid(flow.path)) {
-      add(rep, Severity::kHard, "intra.label.route-dead",
-          "label flow " + dest.to_string() + " from router " +
-              std::to_string(src) + " rides a path crossing dead links " +
-              "(flush_labels missed a mutation)",
-          obs::HopDomain::kIntra, static_cast<std::uint32_t>(src), dest);
-    }
-    for (std::size_t i = 0; i < flow.path.size(); ++i) {
-      const graph::NodeIndex n = flow.path[i];
-      claimed.emplace(std::make_pair(n, flow.labels[i]), dest);
-      ++rep.checks;
-      const intra::LabelEntry* e =
-          n < net_->router_count() ? net_->router(n).labels().lookup(
-                                         flow.labels[i])
-                                   : nullptr;
-      if (e == nullptr) {
-        add(rep, Severity::kHard, "intra.label.missing-entry",
-            "router " + std::to_string(n) + " holds no entry for label " +
-                std::to_string(flow.labels[i]) + " of flow " +
-                dest.to_string(),
-            obs::HopDomain::kIntra, static_cast<std::uint32_t>(n), dest);
-        continue;
-      }
-      // Per-hop chain consistency: each entry forwards to the next path
-      // router and names the label that router will consume.
-      const bool terminal = i + 1 == flow.path.size();
-      const graph::NodeIndex want_out =
-          terminal ? graph::kInvalidNode : flow.path[i + 1];
-      const std::uint32_t want_next =
-          terminal ? intra::kNoLabel : flow.labels[i + 1];
-      if (e->dest != dest || e->out != want_out ||
-          e->next_label != want_next) {
-        add(rep, Severity::kHard, "intra.label.chain",
-            "label " + std::to_string(flow.labels[i]) + " at router " +
-                std::to_string(n) + " disagrees with flow " +
-                dest.to_string() + " (out " + std::to_string(e->out) +
-                " want " + std::to_string(want_out) + ")",
-            obs::HopDomain::kIntra, static_cast<std::uint32_t>(n), dest);
-      }
-    }
-  }
-  // Orphan scan: every live label entry must be backed by an installed flow;
-  // an unclaimed entry would forward packets along a path nobody audits.
-  for (graph::NodeIndex i = 0; i < net_->router_count(); ++i) {
-    net_->router(i).labels().for_each(
-        [&](std::uint32_t label, const intra::LabelEntry& e) {
-          ++rep.checks;
-          if (!claimed.contains({i, label})) {
-            add(rep, Severity::kHard, "intra.label.orphan",
-                "router " + std::to_string(i) + " holds label " +
-                    std::to_string(label) + " for " + e.dest.to_string() +
-                    " that no installed flow claims",
-                obs::HopDomain::kIntra, i, e.dest);
-          }
-        });
   }
 }
 

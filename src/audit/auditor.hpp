@@ -120,7 +120,6 @@ class Auditor {
   void check_intra_directory(AuditReport& report);
   void check_intra_caches(AuditReport& report);
   void check_intra_ephemerals(AuditReport& report);
-  void check_intra_labels(AuditReport& report);
   void check_sessions(AuditReport& report);
   void check_inter(AuditReport& report);
 

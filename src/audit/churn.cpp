@@ -106,10 +106,9 @@ struct ChurnRunner {
         if (src == graph::kInvalidNode) return;
         const NodeId dest = roster[static_cast<std::size_t>(
             e.pick % roster.size())];
-        // Two packets per flow: the first greedy walk installs a label chain
-        // when labels are enabled, the second is served off it.  Folding
-        // both outcomes into the routes digest makes the labels-on/off
-        // equivalence gate cover the label replay path, not just installs.
+        // Two packets per flow, both folded into the pinned routes digest:
+        // the second meets the caches after the first one's stale-pointer
+        // teardowns and LRU touches.
         for (int pkt = 0; pkt < 2; ++pkt) {
           ++res->routes;
           const intra::RouteStats rs = net->route(src, dest);

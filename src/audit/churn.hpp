@@ -111,12 +111,8 @@ struct ChurnRunResult {
   std::uint64_t soft = 0;
   std::string digest;  // Auditor::reports_digest() over all audits
   /// FNV digest over every executed route's RouteStats (delivered flag,
-  /// physical/ring/shortest hops, latency bits), in schedule order.  This is
-  /// the labels-on vs labels-off equivalence gate: the label fast path must
-  /// change per-hop cost, never route outcomes, so the digest is
-  /// byte-identical across the two modes for the same (params minus
-  /// enable_labels, schedule).  The audit digest is NOT comparable across
-  /// modes -- label checks change the check counts.
+  /// physical/ring/shortest hops, latency bits), in schedule order.  CI pins
+  /// it, so a forwarding change that moves any route outcome fails there.
   std::string routes_digest;
   std::vector<AuditReport> reports;
   /// Registry snapshot taken before the faults-off repair.  The registry

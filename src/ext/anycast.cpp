@@ -33,7 +33,7 @@ AnycastResult anycast_route(intra::Network& net, graph::NodeIndex src,
   NodeId committed = NodeId{}.minus(NodeId::from_u64(1));
   std::optional<intra::Candidate> chasing;
 
-  const std::uint32_t guard = net.config().max_forwarding_hops;
+  const std::uint32_t guard = intra::kMaxForwardingHops;
   for (std::uint32_t step = 0; step < guard; ++step) {
     intra::Router& r = net.router(cur);
     // Delivery rule: the first router hosting any member of G absorbs the

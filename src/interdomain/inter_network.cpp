@@ -9,6 +9,9 @@
 namespace rofl::inter {
 namespace {
 
+/// Forwarding loop guard: the most AS segments one walk may take.
+constexpr std::uint32_t kMaxSegments = 4096;
+
 constexpr NodeId max_distance() {
   return NodeId{}.minus(NodeId::from_u64(1));
 }
@@ -331,7 +334,7 @@ std::uint64_t InterNetwork::simulate_lookup(AsIndex from, const NodeId& target,
   AsIndex cur = from;
   std::uint64_t msgs = 0;
   NodeId best = max_distance();
-  for (std::uint32_t guard = 0; guard < cfg_.max_segments; ++guard) {
+  for (std::uint32_t guard = 0; guard < kMaxSegments; ++guard) {
     if (cur == pred_home) return msgs;
     const auto cand = best_candidate(cur, target, anchor);
     bool moved = false;
@@ -597,7 +600,7 @@ InterJoinStats InterNetwork::join_random_host(JoinStrategy strategy) {
   return {};
 }
 
-InterRepairStats InterNetwork::leave_host(const NodeId& id) {
+InterRepairStats InterNetwork::leave_host(NodeId id) {
   InterRepairStats stats;
   const auto dir = directory_.find(id);
   if (dir == directory_.end()) return stats;
@@ -961,9 +964,7 @@ InterRouteStats InterNetwork::route(AsIndex src_as, const NodeId& dest,
 
 InterRouteStats InterNetwork::route_constrained(
     AsIndex src_as, const NodeId& dest, std::optional<AsIndex> within,
-    std::vector<AsIndex>* traversed, std::uint64_t trace_id,
-    std::uint32_t depth) {
-  (void)depth;
+    std::vector<AsIndex>* traversed, std::uint64_t trace_id) {
   InterRouteStats stats;
   stats.trace_id = trace_id;
   if (!work_.as_up(src_as)) return stats;
@@ -971,7 +972,7 @@ InterRouteStats InterNetwork::route_constrained(
   NodeId committed = max_distance();
   bool bootstrapped = false;
 
-  for (std::uint32_t seg = 0; seg < cfg_.max_segments; ++seg) {
+  for (std::uint32_t seg = 0; seg < kMaxSegments; ++seg) {
     if (nodes_[cur].hosted.contains(dest)) {
       stats.delivered = true;
       record_hop(trace_id, obs::HopKind::kDeliver, cur, dest);

@@ -86,8 +86,9 @@ class InterNetwork {
                                    std::nullopt);
 
   /// Removes an ID: ring splice-out at every level it joined, pointer
-  /// teardowns at its predecessors.
-  InterRepairStats leave_host(const NodeId& id);
+  /// teardowns at its predecessors.  By value: the directory entry a
+  /// caller's reference could name is freed before `id` is last read.
+  InterRepairStats leave_host(NodeId id);
 
   // -- data plane -----------------------------------------------------------
   /// Routes a packet from (any host in) `src_as` toward flat label `dest`.
@@ -280,8 +281,7 @@ class InterNetwork {
   InterRouteStats route_constrained(AsIndex src_as, const NodeId& dest,
                                     std::optional<AsIndex> within,
                                     std::vector<AsIndex>* traversed,
-                                    std::uint64_t trace_id = 0,
-                                    std::uint32_t depth = 0);
+                                    std::uint64_t trace_id = 0);
 
   /// Appends one hop record (no-op without a recorder).
   void record_hop(std::uint64_t trace_id, obs::HopKind kind, AsIndex as,

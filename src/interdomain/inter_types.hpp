@@ -141,8 +141,6 @@ struct InterConfig {
   /// Eliminate redundant per-level lookups that resolve to the same
   /// successor (the optimization called out in section 6.3).
   bool prune_redundant_lookups = true;
-  /// Forwarding loop guard.
-  std::uint32_t max_segments = 4096;
   /// Retransmission policy for control-plane exchanges (ring-merge join
   /// levels, re-anchor registrations) when a fault injector is installed.
   sim::RetryPolicy retry;

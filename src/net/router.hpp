@@ -22,7 +22,7 @@
 //
 // Threading is unchanged: a LiveRouter is single-threaded -- all calls from
 // one driver thread, with step(now_ms) doing one pump/drain/tick pass.
-// DESIGN.md section 17 documents the layering.
+// DESIGN.md section 16 documents the layering.
 #pragma once
 
 #include <cstdint>

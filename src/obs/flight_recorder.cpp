@@ -14,7 +14,6 @@ std::string_view to_string(HopKind k) {
     case HopKind::kCachePointer: return "cache-pointer";
     case HopKind::kEphemeralGateway: return "ephemeral-gw";
     case HopKind::kForward: return "forward";
-    case HopKind::kLabelSwitch: return "label-switch";
     case HopKind::kStalePointer: return "stale-pointer";
     case HopKind::kLevelEscalate: return "level-escalate";
     case HopKind::kPeeringCross: return "peering-cross";

@@ -25,20 +25,21 @@ namespace rofl::obs {
 
 /// What the router decided at this hop.
 enum class HopKind : std::uint8_t {
-  kStart,             // packet enters the system at this node
-  kRingPointer,       // committed to a resident-vnode/successor pointer
-  kCachePointer,      // committed to a pointer-cache entry
-  kEphemeralGateway,  // followed an ephemeral backpointer to its gateway
-  kForward,           // one physical hop toward the committed pointer
-  kLabelSwitch,       // one physical hop via the label-switched fast path
-  kStalePointer,      // chased pointer found dead; torn down and restarted
-  kLevelEscalate,     // interdomain: escalated to a higher-level ring
-  kPeeringCross,      // interdomain: crossed a peering link (section 4.2)
-  kBootstrap,         // interdomain: handed to the ring's zero node
-  kDeliver,           // destination reached
-  kDrop,              // no way to make progress
-  kFaultDrop,         // lost in flight by the fault injector (sim::FaultPlan)
-  kAuditViolation,    // invariant auditor flagged broken state at this node
+  kStart,                 // packet enters the system at this node
+  kRingPointer,           // committed to a resident-vnode/successor pointer
+  kCachePointer,          // committed to a pointer-cache entry
+  kEphemeralGateway,      // followed an ephemeral backpointer to its gateway
+  kForward,               // one physical hop toward the committed pointer
+  // 5 is unassigned.  Values are explicit from here on: the recorder's
+  // content digest hashes the kind byte, so renumbering moves every digest.
+  kStalePointer = 6,      // chased pointer found dead; torn down and restarted
+  kLevelEscalate = 7,     // interdomain: escalated to a higher-level ring
+  kPeeringCross = 8,      // interdomain: crossed a peering link (section 4.2)
+  kBootstrap = 9,         // interdomain: handed to the ring's zero node
+  kDeliver = 10,          // destination reached
+  kDrop = 11,             // no way to make progress
+  kFaultDrop = 12,        // lost in flight by the fault injector
+  kAuditViolation = 13,   // invariant auditor flagged broken state here
 };
 
 [[nodiscard]] std::string_view to_string(HopKind k);

@@ -17,7 +17,7 @@
 // The ring *decisions* the handlers make (predecessor tests, splice
 // validity, the notify rule, join-reply construction, leave relinks) live
 // one layer down in proto/ring.hpp, shared verbatim with intra::Network on
-// the simulators.  DESIGN.md section 17 has the full layering.
+// the simulators.  DESIGN.md section 16 has the full layering.
 //
 // Wire conventions (identical to the pre-refactor LiveRouter):
 //   Locate           purpose 0 = join walk, 2 = data-plane lookup probe;

@@ -20,7 +20,7 @@
 // tick() every step to fire due retries.  Nonces are derived from (router
 // id, counter), as intra::Network derives its join nonces.
 //
-// DESIGN.md section 17 documents the effect model and the equivalence
+// DESIGN.md section 16 documents the effect model and the equivalence
 // contract this seam carries.
 #pragma once
 

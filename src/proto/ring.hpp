@@ -12,7 +12,7 @@
 // Everything here is a pure function of NodeIds and caller-supplied state
 // views: no I/O, no clocks, no RNG, no metrics.  Effects (frames, timers,
 // state writes) belong to proto::Core and the drivers; decisions belong
-// here.  DESIGN.md section 17 documents the layering.
+// here.  DESIGN.md section 16 documents the layering.
 #pragma once
 
 #include <algorithm>

@@ -33,7 +33,6 @@ Network::Network(const graph::IspTopology* topo, Config cfg, std::uint64_t seed)
   // flags through this pointer.
   map_ = std::make_unique<linkstate::LinkStateMap>(
       const_cast<graph::Graph*>(&topo_->graph), &sim_);
-  if (cfg_.spf_threads.has_value()) map_->set_spf_threads(*cfg_.spf_threads);
 
   joins_id_ = sim_.metrics().counter("rofl.joins");
   routes_id_ = sim_.metrics().counter("rofl.routes");
@@ -41,25 +40,11 @@ Network::Network(const graph::IspTopology* topo, Config cfg, std::uint64_t seed)
   stale_ptrs_id_ = sim_.metrics().counter("rofl.stale_pointers");
   encode_failures_id_ = sim_.metrics().counter("rofl.encode_failures");
   codec_rejected_id_ = sim_.metrics().counter("rofl.codec_rejected");
-  labels_installed_id_ = sim_.metrics().counter("labels.installed");
-  labels_hits_id_ = sim_.metrics().counter("labels.hits");
-  labels_misses_id_ = sim_.metrics().counter("labels.misses");
-  labels_teardowns_id_ = sim_.metrics().counter("labels.teardowns");
-  labels_bytes_saved_id_ = sim_.metrics().counter("labels.bytes_saved");
-  label_install_bytes_id_ = sim_.metrics().counter("bytes.label_install");
   // Frame sizes the hot paths charge come from the encoder, not constants:
   // a bare data packet and a minimal teardown, measured once here.
   data_frame_bytes_ = wire::Packet{}.wire_size();
   teardown_frame_bytes_ =
       wire::msg::control_wire_size(wire::msg::Teardown{});
-  // A labeled data packet carries one u32 label where the flat header
-  // carries two 16-byte NodeIds (destination + source): 28 bytes saved per
-  // hop, the header-size win the stretch/overhead figure reports.
-  labeled_data_frame_bytes_ = data_frame_bytes_ - 32 + 4;
-  label_install_frame_bytes_ =
-      wire::msg::control_wire_size(wire::msg::LabelInstall{});
-  label_teardown_frame_bytes_ =
-      wire::msg::control_wire_size(wire::msg::LabelTeardown{});
 
   routers_.reserve(topo_->router_count());
   for (NodeIndex i = 0; i < topo_->router_count(); ++i) {
@@ -304,7 +289,7 @@ Network::LocateResult Network::locate_predecessor(NodeIndex from,
   // router's cache would loop the cleanup (the walk still tears each one
   // down exactly once).
   std::set<NodeId> dead_this_walk;
-  for (std::uint32_t step = 0; step < cfg_.max_forwarding_hops; ++step) {
+  for (std::uint32_t step = 0; step < kMaxForwardingHops; ++step) {
     Router& r = *routers_[cur];
     if (VirtualNode* pred = r.predecessor_vnode_of(target); pred != nullptr) {
       res.ok = true;
@@ -564,9 +549,6 @@ JoinStats Network::join_group_id(const NodeId& id, const PublicKey& pub,
 JoinStats Network::join_id(const NodeId& id, const PublicKey& pub,
                            NodeIndex gateway, HostClass host_class) {
   JoinStats stats;
-  // Ring membership is about to change (and the locate walk below may erase
-  // cache entries); every installed label path is suspect from here on.
-  flush_labels();
   // Sybil audit (section 2.1): the AS limits how many IDs a router may
   // host, bounding the footprint a compromised router can concoct.
   if (cfg_.max_resident_ids_per_router > 0 &&
@@ -716,7 +698,7 @@ std::uint64_t Network::refill_successors(VirtualNode& vn, sim::MsgCategory cat,
   return t.messages;
 }
 
-RepairStats Network::splice_out(const NodeId& id, bool directed_flood,
+RepairStats Network::splice_out(NodeId id, bool directed_flood,
                                 sim::MsgCategory cat) {
   RepairStats stats;
   const auto dir_it = directory_.find(id);
@@ -725,9 +707,6 @@ RepairStats Network::splice_out(const NodeId& id, bool directed_flood,
   Router& gw_r = *routers_[gw];
   VirtualNode* vn = gw_r.find_vnode(id);
   if (vn == nullptr) return stats;
-  // Labels must die with their pointer path (section 3.2 analogue): the
-  // departure mutates ring pointers and caches, so drop every flow.
-  flush_labels();
 
   if (vn->host_class == HostClass::kEphemeral) {
     // Teardown to the predecessor that holds the backpointer.
@@ -849,7 +828,7 @@ RepairStats Network::splice_out(const NodeId& id, bool directed_flood,
   return stats;
 }
 
-RepairStats Network::fail_host(const NodeId& id) {
+RepairStats Network::fail_host(NodeId id) {
   RepairStats stats = splice_out(id, /*directed_flood=*/true,
                                  sim::MsgCategory::kTeardown);
   host_identities_.erase(id);
@@ -857,17 +836,13 @@ RepairStats Network::fail_host(const NodeId& id) {
   return stats;
 }
 
-RepairStats Network::leave_host(const NodeId& id) {
+RepairStats Network::leave_host(NodeId id) {
   // A graceful departure issues the same directed teardown flood as a crash
   // (section 3.2): the departing host knows its control path and purges the
   // cached pointers that still name it.  Without the flood those entries
   // linger until a data packet trips stale-pointer recovery -- a coherence
   // hole the invariant auditor flags.
-  RepairStats stats = splice_out(id, /*directed_flood=*/true,
-                                 sim::MsgCategory::kTeardown);
-  host_identities_.erase(id);
-  host_class_.erase(id);
-  return stats;
+  return fail_host(id);
 }
 
 NodeIndex Network::failover_router(NodeIndex failed) const {
@@ -913,7 +888,6 @@ std::uint32_t Network::tear_unreachable_pointers() {
 
 RepairStats Network::repair_partitions() {
   RepairStats stats;
-  flush_labels();
   // The repair pass below queries reachability/paths from essentially every
   // live router; recompute the whole SPF set up front (parallel across the
   // worker pool, deterministic merge) instead of filling the cache one
@@ -1041,7 +1015,6 @@ RepairStats Network::repair_partitions() {
 RepairStats Network::fail_router(NodeIndex r) {
   RepairStats stats;
   if (r >= routers_.size() || !topo_->graph.node_up(r)) return stats;
-  flush_labels();
 
   // Snapshot the resident IDs before the crash erases them.
   struct Lost {
@@ -1090,7 +1063,6 @@ RepairStats Network::fail_router(NodeIndex r) {
 RepairStats Network::restore_router(NodeIndex r) {
   RepairStats stats;
   if (r >= routers_.size() || topo_->graph.node_up(r)) return stats;
-  flush_labels();
   // Clear any stale state from before the crash, then come back up.
   std::vector<NodeId> stale;
   for (const auto& [id, vn] : routers_[r]->vnodes()) stale.push_back(id);
@@ -1139,14 +1111,12 @@ RepairStats Network::fail_link(NodeIndex u, NodeIndex v) {
   // the guard a redundant fail re-charges an LSA flood and re-invalidates
   // every pointer cache that routes over the (already dead) link.
   if (!edge_flag_up(u, v)) return {};
-  flush_labels();
   map_->fail_link(u, v);
   return repair_partitions();
 }
 
 RepairStats Network::restore_link(NodeIndex u, NodeIndex v) {
   if (edge_flag_up(u, v)) return {};
-  flush_labels();
   map_->restore_link(u, v);
   return repair_partitions();
 }
@@ -1177,27 +1147,12 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
   };
   rec(obs::HopKind::kStart, src_router, dest);
 
-  // Label-switched fast path (DESIGN.md section 15): an installed flow is
-  // served off per-hop labels; a miss or torn-down flow falls back to the
-  // greedy walk below with the fault-injector RNG stream untouched.
-  if (cfg_.enable_labels && route_labeled(src_router, dest, stats, rec)) {
-    return stats;
-  }
-
   NodeIndex cur = src_router;
   routers_[cur]->count_traversal();
-  // The walk's router path and per-link ring-hop counts are kept only for
-  // their readers, data-path snooping and label installs, so a greedy hop
-  // with both off allocates nothing.
-  const bool record_walk = cfg_.cache_data_paths || cfg_.enable_labels;
+  // The walk's router path is kept only for data-path snooping, so a greedy
+  // hop with snooping off allocates nothing.
   std::vector<NodeIndex> traversed;
-  if (record_walk) traversed.push_back(cur);
-  // Label-install bookkeeping: the walk qualifies only when it completes
-  // without resets (no stale pointers, no ephemeral leg, no dead chases) --
-  // then the path is a stable pointer path and a later greedy run would
-  // reproduce it exactly, which is what makes the labeled replay safe.
-  bool clean_walk = true;
-  std::vector<std::uint32_t> ring_hops_when_leaving;
+  if (cfg_.cache_data_paths) traversed.push_back(cur);
   std::optional<Candidate> chasing;
   // When the chased pointer came from a cache, remember whose cache, so the
   // teardown on stale discovery reaches the pointer holder (invariant (b)).
@@ -1205,7 +1160,7 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
   NodeId committed_dist = NodeId{}.minus(NodeId::from_u64(1));
   std::set<NodeId> dead_this_walk;
 
-  for (std::uint32_t step = 0; step < cfg_.max_forwarding_hops; ++step) {
+  for (std::uint32_t step = 0; step < kMaxForwardingHops; ++step) {
     Router& r = *routers_[cur];
     // Algorithm 2's VN.best_match comes first: the one descent that finds
     // the closest known ID also answers whether dest is resident here.
@@ -1220,17 +1175,6 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       if (cfg_.cache_data_paths) {
         cache_along_path(traversed, dest, cur);
       }
-      // A reset-free walk over a pointer path is stable: label it so the
-      // flow's next packets forward by array index.  (Not under data-path
-      // snooping -- the insert above mutates caches at every delivery, which
-      // a labeled replay would skip.)
-      if (cfg_.enable_labels && !cfg_.cache_data_paths && clean_walk &&
-          traversed.size() >= 2 &&
-          !label_flows_.contains({src_router, dest})) {
-        install_label_flow(src_router, dest, traversed,
-                           std::move(ring_hops_when_leaving),
-                           stats.ring_hops);
-      }
       return stats;
     }
     // An ephemeral backpointer names a gateway, not a residency proof:
@@ -1244,7 +1188,6 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       if (*g < routers_.size() && routers_[*g]->hosts(dest)) return g;
       r.remove_ephemeral_backpointer(dest);
       rec(obs::HopKind::kStalePointer, cur, dest);
-      clean_walk = false;
       return std::nullopt;
     };
     if (const auto egw = live_egw()) {
@@ -1326,7 +1269,6 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       // removes stale entries, so this terminates.
       sim_.metrics().add(stale_ptrs_id_);
       rec(obs::HopKind::kStalePointer, cur, chasing->id);
-      clean_walk = false;
       r.cache().erase(chasing->id);
       dead_this_walk.insert(chasing->id);
       if (chasing_origin != graph::kInvalidNode && chasing_origin != cur) {
@@ -1357,7 +1299,6 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       // entry) and re-evaluate from scratch at this router.
       r.cache().erase(chasing->id);
       chasing.reset();
-      clean_walk = false;
       continue;
     }
     if (cross_link(cur, *next, data_frame_bytes_, stats).dropped) {
@@ -1365,10 +1306,7 @@ RouteStats Network::route(NodeIndex src_router, const NodeId& dest,
       return stats;
     }
     cur = *next;
-    if (record_walk) {
-      ring_hops_when_leaving.push_back(stats.ring_hops);
-      traversed.push_back(cur);
-    }
+    if (cfg_.cache_data_paths) traversed.push_back(cur);
     routers_[cur]->count_traversal();
     rec(obs::HopKind::kForward, cur, chasing->id);
   }
@@ -1386,129 +1324,6 @@ Network::CacheTotals Network::cache_totals() const {
     t.stale_drops += c.stale_drops();
     t.entries += c.size();
   }
-  return t;
-}
-
-// -- label-switched fast path (DESIGN.md section 15) --------------------------
-
-bool Network::route_labeled(
-    NodeIndex src_router, const NodeId& dest, RouteStats& stats,
-    const std::function<void(obs::HopKind, NodeIndex, const NodeId&)>& rec) {
-  const auto it = label_flows_.find(LabelFlowKey{src_router, dest});
-  if (it == label_flows_.end()) {
-    sim_.metrics().add(labels_misses_id_);
-    return false;
-  }
-  // Defensive revalidation: flush_labels() runs on every topology or ring
-  // mutation, so a live flow should always check out -- but a labeled hop
-  // must never forward into state a greedy walk would not have produced.
-  const LabelFlow& flow = it->second;
-  if (!routers_[flow.path.back()]->hosts(dest) ||
-      !map_->route_valid(flow.path)) {
-    teardown_label_flow(it->first);
-    sim_.metrics().add(labels_misses_id_);
-    return false;
-  }
-  sim_.metrics().add(labels_hits_id_);
-  // Labeled frames swap the two 16-byte flat IDs for one 4-byte label.
-  const std::size_t saved = data_frame_bytes_ - labeled_data_frame_bytes_;
-  NodeIndex cur = src_router;
-  routers_[cur]->count_traversal();
-  std::uint32_t label = flow.labels.front();
-  for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
-    // Steady-state forwarding is this one array index; the install-run path
-    // is only the fallback against a half-torn-down table.
-    const LabelEntry* e = routers_[cur]->labels().lookup(label);
-    const NodeIndex next = e != nullptr ? e->out : flow.path[i + 1];
-    // The greedy walk's own link step, so the injector's draws stay in
-    // lockstep whether or not this flow is labeled.
-    const sim::FaultDecision fd =
-        cross_link(cur, next, labeled_data_frame_bytes_, stats);
-    sim_.metrics().add(labels_bytes_saved_id_, fd.copies * saved);
-    if (fd.dropped) {
-      // ring_hops a greedy walk would have accumulated by this link.
-      stats.ring_hops = flow.ring_hops_when_leaving[i];
-      rec(obs::HopKind::kFaultDrop, cur, dest);
-      return true;
-    }
-    label = e != nullptr ? e->next_label : flow.labels[i + 1];
-    cur = next;
-    routers_[cur]->count_traversal();
-    rec(obs::HopKind::kLabelSwitch, cur, dest);
-  }
-  stats.ring_hops = flow.final_ring_hops;
-  stats.delivered = true;
-  sim_.metrics().add(delivered_id_);
-  rec(obs::HopKind::kDeliver, cur, dest);
-  return true;
-}
-
-void Network::install_label_flow(
-    NodeIndex src_router, const NodeId& dest,
-    const std::vector<NodeIndex>& path,
-    std::vector<std::uint32_t> ring_hops_when_leaving,
-    std::uint32_t final_ring_hops) {
-  LabelFlow flow;
-  flow.path = path;
-  flow.ring_hops_when_leaving = std::move(ring_hops_when_leaving);
-  flow.final_ring_hops = final_ring_hops;
-  flow.labels.resize(path.size());
-  // Allocate terminal-first so each hop's entry can name its successor's
-  // freshly assigned label; the terminal entry has no out-pointer.
-  std::uint32_t next_label = kNoLabel;
-  for (std::size_t i = path.size(); i-- > 0;) {
-    const NodeIndex out =
-        i + 1 < path.size() ? path[i + 1] : graph::kInvalidNode;
-    flow.labels[i] = routers_[path[i]]->labels().install(dest, out, next_label);
-    next_label = flow.labels[i];
-  }
-  sim_.metrics().add(labels_installed_id_, flow.path.size());
-  // Install signaling walks the reverse path as control traffic, charged in
-  // bulk (one LabelInstall frame per label hop).  Deliberately no per-link
-  // fault-injector draws: a draw here would shift the injector's RNG stream
-  // relative to a labels-off run and break route equivalence.
-  const std::size_t frames = path.size() - 1;
-  sim_.counters().add(sim::MsgCategory::kControl, frames);
-  sim_.counters().add_bytes(sim::MsgCategory::kControl,
-                            frames * label_install_frame_bytes_);
-  sim_.metrics().add(label_install_bytes_id_,
-                     frames * label_install_frame_bytes_);
-  label_flows_.emplace(LabelFlowKey{src_router, dest}, std::move(flow));
-}
-
-void Network::teardown_label_flow(const LabelFlowKey& key) {
-  const auto it = label_flows_.find(key);
-  if (it == label_flows_.end()) return;
-  const LabelFlow& flow = it->second;
-  for (std::size_t i = 0; i < flow.path.size(); ++i) {
-    const NodeIndex n = flow.path[i];
-    if (n < routers_.size()) routers_[n]->labels().remove(flow.labels[i]);
-  }
-  sim_.metrics().add(labels_teardowns_id_, flow.path.size());
-  // One LabelTeardown frame per label hop, bulk-charged on the teardown
-  // category for the same RNG-neutrality reason as installs.
-  const std::size_t frames = flow.path.size() - 1;
-  if (frames > 0) {
-    sim_.counters().add(sim::MsgCategory::kTeardown, frames);
-    sim_.counters().add_bytes(sim::MsgCategory::kTeardown,
-                              frames * label_teardown_frame_bytes_);
-  }
-  label_flows_.erase(it);
-}
-
-void Network::flush_labels() {
-  // Labels die with their pointer path: any ring or topology mutation
-  // invalidates every flow wholesale.  Coarse but what makes the labeled
-  // and greedy data planes provably route-identical between mutations.
-  while (!label_flows_.empty()) {
-    teardown_label_flow(label_flows_.begin()->first);
-  }
-}
-
-Network::LabelTotals Network::label_totals() const {
-  LabelTotals t;
-  t.flows = label_flows_.size();
-  for (const auto& r : routers_) t.entries += r->labels().live();
   return t;
 }
 

@@ -34,7 +34,6 @@
 // maximum rather than their sum to join latency.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -55,6 +54,9 @@
 
 namespace rofl::intra {
 
+/// Forwarding loop guard: the most router steps one greedy walk may take.
+inline constexpr std::uint32_t kMaxForwardingHops = 100'000;
+
 struct Config {
   /// Successor-group depth (section 2.2 "successor-groups").
   std::size_t successor_group = 4;
@@ -72,21 +74,6 @@ struct Config {
   /// of IDs any one router may host.  0 = unlimited.  Joins beyond the cap
   /// are refused at the gateway.
   std::size_t max_resident_ids_per_router = 0;
-  /// Label-switched fast path (DESIGN.md section 15): when a route over a
-  /// pointer path completes without resets, install per-hop labels along it
-  /// so later packets of the flow forward by array index instead of greedy
-  /// best-match.  Labels change cost, never paths: labels-on and labels-off
-  /// runs deliver byte-identical route outcomes.  Ignored (no installs) when
-  /// cache_data_paths is on -- snooping mutates caches at delivery, which a
-  /// labeled replay would skip.
-  bool enable_labels = false;
-  /// Forwarding loop guard.
-  std::uint32_t max_forwarding_hops = 100'000;
-  /// Worker threads for the all-routers SPF recomputation that follows a
-  /// topology change (linkstate::LinkStateMap::recompute_all_spf).  The
-  /// result is byte-identical for any value; nullopt picks a machine-sized
-  /// default, 0 forces the serial reference path.
-  std::optional<std::size_t> spf_threads;
   /// Retransmission policy for control-plane exchanges (join, pointer
   /// setup, teardown walks, repair) when a FaultInjector makes the network
   /// lossy.  With no injector installed the first attempt always succeeds
@@ -133,13 +120,14 @@ class Network {
                           HostClass host_class = HostClass::kStable);
 
   /// Ungraceful host death: session timeout at the gateway, teardowns to the
-  /// ring neighbors, directed flood over the cached-state router set.
-  RepairStats fail_host(const NodeId& id);
+  /// ring neighbors, directed flood over the cached-state router set.  The
+  /// id is taken by value: the departure frees its directory entry, so a
+  /// caller may pass a key read out of directory().
+  RepairStats fail_host(NodeId id);
 
-  /// Graceful leave: same ring splice-out; the departing host also issues
-  /// the directed cache-purge flood over its control path, so no router is
-  /// left holding a pointer to the departed ID.
-  RepairStats leave_host(const NodeId& id);
+  /// Graceful leave: the same splice-out and directed cache-purge flood as
+  /// fail_host, so no router is left holding a pointer to the departed ID.
+  RepairStats leave_host(NodeId id);
 
   // -- failures -------------------------------------------------------------
   /// Router crash: floods the LSA, invalidates caches, relinks the ring
@@ -224,28 +212,6 @@ class Network {
   };
   [[nodiscard]] CacheTotals cache_totals() const;
 
-  // -- label-switched fast path (DESIGN.md section 15) ----------------------
-  /// One installed flow: the physical path its labels ride and the greedy
-  /// bookkeeping a labeled replay must reproduce bit-for-bit.
-  struct LabelFlow {
-    std::vector<NodeIndex> path;        ///< routers, ingress..terminal
-    std::vector<std::uint32_t> labels;  ///< labels[i] switches at path[i]
-    /// stats.ring_hops greedy had committed when leaving path[i] (reported
-    /// when the injector drops the packet on link i).
-    std::vector<std::uint32_t> ring_hops_when_leaving;
-    std::uint32_t final_ring_hops = 0;  ///< ring_hops at delivery
-  };
-  using LabelFlowKey = std::pair<NodeIndex, NodeId>;
-  [[nodiscard]] const std::map<LabelFlowKey, LabelFlow>& label_flows() const {
-    return label_flows_;
-  }
-  /// Live label-table state summed over routers (benches / roflsim).
-  struct LabelTotals {
-    std::uint64_t flows = 0;
-    std::uint64_t entries = 0;
-  };
-  [[nodiscard]] LabelTotals label_totals() const;
-
   // -- oracle & verification (test/bench support; not used by the protocol) -
   /// Live host/router IDs -> hosting router.
   [[nodiscard]] const std::map<NodeId, NodeIndex>& directory() const {
@@ -321,7 +287,7 @@ class Network {
   [[nodiscard]] double link_latency(NodeIndex u, NodeIndex v) const;
 
   /// One data packet of `frame_bytes` crossing link u->v: the step the
-  /// greedy walk, the ephemeral final leg and the labeled replay all take.
+  /// greedy walk and the ephemeral final leg both take.
   /// Counts the hop, charges one packet per transmitted copy (a duplicate
   /// dies at the next router), and adds the link's latency and then the
   /// injector's jitter to `stats`.  Data is best effort: a returned drop is
@@ -357,8 +323,10 @@ class Network {
   Transfer splice_in(VirtualNode& vn, NodeIndex pred_router,
                      const NodeId& pred_id, sim::MsgCategory cat);
 
-  /// Removes `id` from all ring neighbor state, relinking around it.
-  RepairStats splice_out(const NodeId& id, bool directed_flood,
+  /// Removes `id` from all ring neighbor state, relinking around it.  By
+  /// value: the directory entry a caller's reference could name is erased
+  /// before the teardowns that carry `id` go out.
+  RepairStats splice_out(NodeId id, bool directed_flood,
                          sim::MsgCategory cat);
 
   /// Tops a vnode's successor group back up to k by copying from its first
@@ -371,34 +339,6 @@ class Network {
   /// Drops every successor/predecessor pointer in the system that targets a
   /// host unreachable from the pointer owner; returns pointers torn.
   std::uint32_t tear_unreachable_pointers();
-
-  // -- label-switched fast path internals -----------------------------------
-  /// Tries to serve route(src, dest) off an installed label chain.  Returns
-  /// true when the packet was handled (delivered or fault-dropped) with
-  /// `stats` filled; false means fall back to greedy (flow missing or torn
-  /// down here).  The replay makes exactly the per-link fault-injector draws
-  /// greedy would make and charges the same packet counts, so labels-on and
-  /// labels-off runs stay in RNG lockstep.
-  bool route_labeled(NodeIndex src_router, const NodeId& dest,
-                     RouteStats& stats,
-                     const std::function<void(obs::HopKind, NodeIndex,
-                                              const NodeId&)>& rec);
-
-  /// Installs labels along `path` for (src, dest) and bulk-charges the
-  /// install signaling (one LabelInstall frame per link of the path).
-  void install_label_flow(NodeIndex src_router, const NodeId& dest,
-                          const std::vector<NodeIndex>& path,
-                          std::vector<std::uint32_t> ring_hops_when_leaving,
-                          std::uint32_t final_ring_hops);
-
-  /// Removes one flow's label entries and charges its teardown frames.
-  void teardown_label_flow(const LabelFlowKey& key);
-
-  /// Drops every installed flow.  Called on every ring/topology mutation
-  /// (join, leave, crash, restore, link flap, repair): labels must die with
-  /// their pointer path, and flushing keeps the network static between
-  /// mutations -- the property the greedy-equivalence contract rests on.
-  void flush_labels();
 
   void bootstrap_router_ring();
   /// Live stable vnodes as one canonical ring per connected component, in
@@ -421,13 +361,6 @@ class Network {
   obs::MetricId stale_ptrs_id_ = 0;
   obs::MetricId encode_failures_id_ = 0;
   obs::MetricId codec_rejected_id_ = 0;
-  // Label fast-path accounting (labels.* / bytes.label_install).
-  obs::MetricId labels_installed_id_ = 0;
-  obs::MetricId labels_hits_id_ = 0;
-  obs::MetricId labels_misses_id_ = 0;
-  obs::MetricId labels_teardowns_id_ = 0;
-  obs::MetricId labels_bytes_saved_id_ = 0;
-  obs::MetricId label_install_bytes_id_ = 0;
   // Sharded-execution accounting (set_shard_map); empty when unsharded.
   std::vector<std::uint32_t> shard_map_;
   obs::MetricId shard_cross_msgs_id_ = 0;
@@ -437,12 +370,6 @@ class Network {
   // without re-encoding per hop.
   std::size_t data_frame_bytes_ = 0;
   std::size_t teardown_frame_bytes_ = 0;
-  // Labeled-datapath frame sizes, also measured from the encoder: a labeled
-  // data packet swaps the two 16-byte flat labels for one u32 label, and the
-  // install/teardown signaling frames are full control messages.
-  std::size_t labeled_data_frame_bytes_ = 0;
-  std::size_t label_install_frame_bytes_ = 0;
-  std::size_t label_teardown_frame_bytes_ = 0;
   std::unique_ptr<linkstate::LinkStateMap> map_;
   Rng rng_;
   std::vector<std::unique_ptr<Router>> routers_;
@@ -450,8 +377,6 @@ class Network {
   // Host identities for rejoin-after-router-failure (keyed by ID).
   std::map<NodeId, Identity> host_identities_;
   std::map<NodeId, HostClass> host_class_;
-  // Installed label flows, keyed by (ingress router, destination ID).
-  std::map<LabelFlowKey, LabelFlow> label_flows_;
 };
 
 }  // namespace rofl::intra

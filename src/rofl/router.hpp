@@ -24,7 +24,6 @@
 #include <optional>
 #include <utility>
 
-#include "rofl/label_table.hpp"
 #include "rofl/pointer_cache.hpp"
 #include "rofl/types.hpp"
 #include "util/flat_map.hpp"
@@ -126,11 +125,6 @@ class Router {
   PointerCache& cache() { return cache_; }
   const PointerCache& cache() const { return cache_; }
 
-  /// Label-switched fast path state (DESIGN.md section 15): dense label ->
-  /// {out-pointer, next label} entries consulted before any greedy work.
-  LabelTable& labels() { return labels_; }
-  const LabelTable& labels() const { return labels_; }
-
   /// Total routing-table entries held (resident vnode pointers + cache):
   /// the figure 6c memory metric.
   [[nodiscard]] std::size_t state_entries() const;
@@ -149,7 +143,6 @@ class Router {
   std::size_t ephemeral_vnodes_ = 0;  // resident vnodes of class kEphemeral
   EphemeralTable ephemerals_;
   PointerCache cache_;
-  LabelTable labels_;
   std::uint64_t traversals_ = 0;
 
   // Greedy index over {resident IDs} U {their successors}, kept sorted by

@@ -81,20 +81,6 @@ void put(ByteWriter& w, const Lsa& m) {
   w.u32(m.b);
 }
 
-void put(ByteWriter& w, const LabelInstall& m) {
-  write_node_id(w, m.dest);
-  w.u32(m.label);
-  w.u32(m.next_label);
-  w.u32(m.out);
-  w.u8(m.op);
-}
-
-void put(ByteWriter& w, const LabelTeardown& m) {
-  write_node_id(w, m.dest);
-  w.u32(m.label);
-  w.u8(m.reason);
-}
-
 void put(ByteWriter& w, const RingMerge& m) {
   write_node_id(w, m.id);
   w.u32(m.home_as);
@@ -229,26 +215,6 @@ bool get(ByteReader& r, RingMerge& m) {
   return true;
 }
 
-bool get(ByteReader& r, LabelInstall& m) {
-  const auto dest = read_node_id(r);
-  const auto label = r.u32();
-  const auto next_label = r.u32();
-  const auto out = r.u32();
-  const auto op = r.u8();
-  if (!dest || !label || !next_label || !out || !op) return false;
-  m = LabelInstall{*dest, *label, *next_label, *out, *op};
-  return true;
-}
-
-bool get(ByteReader& r, LabelTeardown& m) {
-  const auto dest = read_node_id(r);
-  const auto label = r.u32();
-  const auto reason = r.u8();
-  if (!dest || !label || !reason) return false;
-  m = LabelTeardown{*dest, *label, *reason};
-  return true;
-}
-
 /// Decodes a `type` frame's payload into `m`; false on truncation or for a
 /// type with no control codec.
 bool get_payload(ByteReader& r, PacketType type, ControlMessage& m) {
@@ -263,9 +229,6 @@ bool get_payload(ByteReader& r, PacketType type, ControlMessage& m) {
     case PacketType::kKeepalive: return get(r, m.emplace<Keepalive>());
     case PacketType::kLsa: return get(r, m.emplace<Lsa>());
     case PacketType::kRingMerge: return get(r, m.emplace<RingMerge>());
-    case PacketType::kLabelInstall: return get(r, m.emplace<LabelInstall>());
-    case PacketType::kLabelTeardown:
-      return get(r, m.emplace<LabelTeardown>());
     default: return false;  // kData / kCapabilityGrant carry no codec
   }
 }
@@ -297,8 +260,6 @@ std::size_t payload_size(const ControlMessage& m) {
     std::size_t operator()(const Keepalive&) const { return 8; }
     std::size_t operator()(const Lsa&) const { return 21; }
     std::size_t operator()(const RingMerge&) const { return 27; }
-    std::size_t operator()(const LabelInstall&) const { return 29; }
-    std::size_t operator()(const LabelTeardown&) const { return 21; }
   };
   return std::visit(Sizer{}, m);
 }
@@ -327,12 +288,6 @@ PacketType type_of(const ControlMessage& m) {
     PacketType operator()(const Lsa&) const { return PacketType::kLsa; }
     PacketType operator()(const RingMerge&) const {
       return PacketType::kRingMerge;
-    }
-    PacketType operator()(const LabelInstall&) const {
-      return PacketType::kLabelInstall;
-    }
-    PacketType operator()(const LabelTeardown&) const {
-      return PacketType::kLabelTeardown;
     }
   };
   return std::visit(Typer{}, m);

@@ -124,34 +124,9 @@ struct RingMerge {
   friend bool operator==(const RingMerge&, const RingMerge&) = default;
 };
 
-/// PacketType::kLabelInstall: install one hop of a label-switched fast path
-/// along a stabilized pointer path (DESIGN.md section 15).  The receiver maps
-/// `label` -> {out-pointer `out`, next-hop label `next_label`} for flows
-/// toward `dest`.
-struct LabelInstall {
-  NodeId dest;                    ///< flow destination the label chain serves
-  std::uint32_t label = 0;        ///< label the receiver switches on
-  std::uint32_t next_label = 0;   ///< label to emit downstream (or sentinel)
-  std::uint32_t out = 0;          ///< next-hop router for this label
-  std::uint8_t op = 0;            ///< 0 install, 1 refresh
-
-  friend bool operator==(const LabelInstall&, const LabelInstall&) = default;
-};
-
-/// PacketType::kLabelTeardown: retire one hop of a label chain when its
-/// pointer path dies (churn, leave, crash) or the ingress stops the flow.
-struct LabelTeardown {
-  NodeId dest;
-  std::uint32_t label = 0;
-  std::uint8_t reason = 0;  ///< 0 churn-invalidate, 1 dest-gone, 2 ingress
-
-  friend bool operator==(const LabelTeardown&, const LabelTeardown&) = default;
-};
-
 using ControlMessage = std::variant<JoinRequest, JoinReply, Locate,
                                     PointerInstall, Teardown, Repair,
-                                    Keepalive, Lsa, RingMerge, LabelInstall,
-                                    LabelTeardown>;
+                                    Keepalive, Lsa, RingMerge>;
 
 /// The PacketType a given message encodes under.
 [[nodiscard]] PacketType type_of(const ControlMessage& m);

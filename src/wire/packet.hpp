@@ -35,16 +35,13 @@ enum class PacketType : std::uint8_t {
   kPointerInstall = 9,
   kLsa = 10,
   kRingMerge = 11,
-  // Label-switched fast path (DESIGN.md section 15): install/retire one hop
-  // of a per-flow label chain along a stabilized pointer path.
-  kLabelInstall = 12,
-  kLabelTeardown = 13,
+  // 12 and 13 are unassigned; decode rejects them.
 };
 
 /// Highest assigned PacketType -- decode's range check derives from this so
 /// adding a type cannot silently leave it rejected on the wire.
 inline constexpr std::uint8_t kMaxPacketType =
-    static_cast<std::uint8_t>(PacketType::kLabelTeardown);
+    static_cast<std::uint8_t>(PacketType::kRingMerge);
 
 inline constexpr std::uint8_t kVersion = 1;
 inline constexpr std::size_t kDefaultMtu = 1500;

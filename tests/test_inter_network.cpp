@@ -310,6 +310,25 @@ TEST(InterFail, LeaveSplicesRings) {
   }
 }
 
+TEST(InterFail, LeaveOfADirectoryKeyCopiesTheId) {
+  // leave_host erases the directory entry that the reference names before
+  // its last read of the id, so the engine must work on its own copy; an
+  // ASan build catches a read through the freed entry.
+  Fixture f;
+  const auto ids = f.populate(5);
+  const NodeId victim = f.net->directory().begin()->first;
+  const InterRepairStats rs =
+      f.net->leave_host(f.net->directory().begin()->first);
+  EXPECT_GT(rs.messages, 0u);
+  EXPECT_FALSE(f.net->directory().contains(victim));
+  std::string err;
+  EXPECT_TRUE(f.net->verify_rings(&err)) << err;
+  EXPECT_FALSE(f.net->route(5, victim).delivered);
+  for (const NodeId& id : ids) {
+    if (id != victim) EXPECT_TRUE(f.net->route(5, id).delivered);
+  }
+}
+
 TEST(InterFail, StubAsFailureRepairsAndIsolates) {
   Fixture f;
   const auto ids = f.populate(6);

@@ -161,15 +161,23 @@ TEST(Packet, OversizedFieldsRefuseToEncode) {
 }
 
 TEST(Packet, DecodeRejectsBadVersionAndType) {
-  Packet p = sample_packet();
-  auto bytes = p.encode();
-  bytes[0] = 99;  // version
-  EXPECT_FALSE(Packet::decode(bytes).has_value());
-  bytes = p.encode();
-  bytes[1] = 0;  // type below range
-  EXPECT_FALSE(Packet::decode(bytes).has_value());
-  bytes[1] = 200;  // type above range
-  EXPECT_FALSE(Packet::decode(bytes).has_value());
+  // Each frame is re-sealed after the edit, so the header check rejects it
+  // and not the CRC trailer.
+  const auto with_byte = [](std::size_t at, std::uint8_t v) {
+    std::vector<std::uint8_t> bytes = sample_packet().encode();
+    bytes[at] = v;
+    const std::size_t body = bytes.size() - 4;
+    store_be32(bytes.data() + body, crc32({bytes.data(), body}));
+    return bytes;
+  };
+  ASSERT_TRUE(Packet::decode(with_byte(1, 1)).has_value());  // kData
+  EXPECT_FALSE(Packet::decode(with_byte(0, 99)).has_value());  // version
+  // Below range, the two unassigned numbers (once label install and
+  // teardown), and above range.
+  for (const std::uint8_t type : {0, 12, 13, 200}) {
+    EXPECT_FALSE(Packet::decode(with_byte(1, type)).has_value())
+        << "type " << int{type};
+  }
 }
 
 TEST(Packet, DecodeRejectsTruncation) {

@@ -25,10 +25,12 @@ Sha256::Digest random_key(Rng& rng) {
   return d;
 }
 
+constexpr std::size_t kTypeCount = std::variant_size_v<ControlMessage>;
+
 /// One random instance of each message type, index-addressable so the fuzz
 /// loops sweep every variant alternative.
 ControlMessage random_message(Rng& rng, std::size_t which) {
-  switch (which % 11) {
+  switch (which % kTypeCount) {
     case 0: {
       JoinRequest m;
       m.nonce = rng.next_u64();
@@ -78,28 +80,18 @@ ControlMessage random_message(Rng& rng, std::size_t which) {
                  rng.next_u64(), static_cast<std::uint8_t>(rng.below(4)),
                  static_cast<std::uint32_t>(rng.below(1 << 20)),
                  static_cast<std::uint32_t>(rng.below(1 << 20))};
-    case 8:
+    default:
       return RingMerge{random_id(rng),
                        static_cast<std::uint32_t>(rng.below(1 << 20)),
                        static_cast<std::uint32_t>(rng.below(1 << 20)),
                        static_cast<std::uint16_t>(rng.below(1 << 16)),
                        static_cast<std::uint8_t>(rng.below(3))};
-    case 9:
-      return LabelInstall{random_id(rng),
-                          static_cast<std::uint32_t>(rng.next_u64()),
-                          static_cast<std::uint32_t>(rng.next_u64()),
-                          static_cast<std::uint32_t>(rng.below(1 << 20)),
-                          static_cast<std::uint8_t>(rng.below(2))};
-    default:
-      return LabelTeardown{random_id(rng),
-                           static_cast<std::uint32_t>(rng.next_u64()),
-                           static_cast<std::uint8_t>(rng.below(3))};
   }
 }
 
 TEST(ControlMessages, RoundTripEveryType) {
   Rng rng(20260806);
-  for (std::size_t which = 0; which < 11; ++which) {
+  for (std::size_t which = 0; which < kTypeCount; ++which) {
     for (int trial = 0; trial < 40; ++trial) {
       const ControlMessage m = random_message(rng, which);
       const NodeId src = random_id(rng);
@@ -146,9 +138,7 @@ std::vector<ControlMessage> golden_messages() {
           Repair{NodeId(9, 10), NodeId(11, 12), 13, 0},
           Keepalive{0xDEADBEEFCAFEF00Dull},
           Lsa{1, 2, 3, 4, 5},
-          RingMerge{NodeId(6, 7), 8, 9, 10, 2},
-          LabelInstall{NodeId(11, 12), 13, 14, 15, 1},
-          LabelTeardown{NodeId(16, 17), 18, 2}};
+          RingMerge{NodeId(6, 7), 8, 9, 10, 2}};
 }
 
 std::string to_hex(const std::vector<std::uint8_t>& bytes) {
@@ -203,14 +193,6 @@ TEST(ControlMessages, GoldenBytesPerType) {
       "010b4000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
       "bbbbbbbb112233445566778800000000001b0000000000000006000000000000"
       "00070000000800000009000a028843d17f",
-      // LabelInstall, 83 bytes
-      "010c4000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
-      "bbbbbbbb112233445566778800000000001d000000000000000b000000000000"
-      "000c0000000d0000000e0000000f01d66a364d",
-      // LabelTeardown, 75 bytes
-      "010d4000ccccccccccccccccddddddddddddddddaaaaaaaaaaaaaaaabbbbbbbb"
-      "bbbbbbbb11223344556677880000000000150000000000000010000000000000"
-      "00110000001202d7b5eb01",
   };
   const NodeId src(0xAAAAAAAAAAAAAAAAull, 0xBBBBBBBBBBBBBBBBull);
   const NodeId dst(0xCCCCCCCCCCCCCCCCull, 0xDDDDDDDDDDDDDDDDull);
@@ -235,7 +217,7 @@ TEST(ControlMessages, DecodeFrameHeaderMatchesPacketDecode) {
   // The one-pass decode and Packet::decode share one header parser; the
   // header fields they report must agree on every type.
   Rng rng(4242);
-  for (std::size_t which = 0; which < 11; ++which) {
+  for (std::size_t which = 0; which < kTypeCount; ++which) {
     for (int trial = 0; trial < 20; ++trial) {
       const ControlMessage m = random_message(rng, which);
       const auto frame =
@@ -253,7 +235,7 @@ TEST(ControlMessages, DecodeFrameHeaderMatchesPacketDecode) {
 
 TEST(ControlMessages, ControlWireSizeMatchesEncoder) {
   Rng rng(7);
-  for (std::size_t which = 0; which < 11; ++which) {
+  for (std::size_t which = 0; which < kTypeCount; ++which) {
     for (int trial = 0; trial < 25; ++trial) {
       const ControlMessage m = random_message(rng, which);
       const auto frame = encode_control(m, random_id(rng), random_id(rng));
@@ -266,7 +248,7 @@ TEST(ControlMessages, ControlWireSizeMatchesEncoder) {
 
 TEST(ControlMessages, TruncationAlwaysRejected) {
   Rng rng(77);
-  for (std::size_t which = 0; which < 11; ++which) {
+  for (std::size_t which = 0; which < kTypeCount; ++which) {
     const ControlMessage m = random_message(rng, which);
     const auto frame = encode_control(m, random_id(rng), random_id(rng));
     ASSERT_FALSE(frame.empty());
@@ -345,7 +327,7 @@ TEST(ControlMessages, SingleBitFlipAlwaysRejected) {
   // CRC-32 detects every single-bit error; a flipped frame must never decode
   // into a silently different message.
   Rng rng(31337);
-  for (std::size_t which = 0; which < 11; ++which) {
+  for (std::size_t which = 0; which < kTypeCount; ++which) {
     const ControlMessage m = random_message(rng, which);
     const auto frame = encode_control(m, random_id(rng), random_id(rng));
     ASSERT_FALSE(frame.empty());

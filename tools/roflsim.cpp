@@ -9,7 +9,8 @@
 //                     [--fingers N] [--bloom] [--routes N] [--seed S]
 //   roflsim partition [--isp NAME] [--ids-per-pop N] [--seed S]
 //
-// Observability flags (intra / inter / partition / faults / audit / shard):
+// Observability flags (intra / inter / partition / faults; audit, shard and
+// net take --timeline and --timeline-window, shard and net also --metrics):
 //   --trace FILE      write a Chrome trace-event timeline (open in
 //                     https://ui.perfetto.dev or chrome://tracing); with
 //                     --timeline also carries "ph":"C" counter tracks
@@ -23,7 +24,8 @@
 // `roflsim timeline --file F` renders a timeline JSONL file as an ASCII
 // sparkline/table report.
 //
-// Every run prints its seed; identical invocations reproduce exactly.
+// Every run prints its seed; identical invocations reproduce exactly.  A flag
+// the command does not read exits 2 with usage.
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,8 +40,10 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "audit/churn.hpp"
 #include "audit/shard_audit.hpp"
@@ -65,6 +69,8 @@ void usage();
 
 struct Args {
   std::map<std::string, std::string> kv;
+  /// Tokens that are neither a flag nor a flag's value.
+  std::vector<std::string> stray;
   bool flag(const std::string& k) const { return kv.contains(k); }
   std::string str(const std::string& k, const std::string& dflt) const {
     const auto it = kv.find(k);
@@ -76,7 +82,10 @@ Args parse(int argc, char** argv, int from) {
   Args a;
   for (int i = from; i < argc; ++i) {
     std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
+    if (key.rfind("--", 0) != 0) {
+      a.stray.push_back(key);
+      continue;
+    }
     key = key.substr(2);
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       a.kv[key] = argv[++i];
@@ -352,7 +361,6 @@ int cmd_intra(const Args& a) {
   // 2^64-1 and never return.  "--cache 0" is legal; it disables caching.
   intra::Config cfg;
   cfg.cache_capacity = ranged_num_arg(a, "cache", 2048, 0, kMaxCount);
-  cfg.enable_labels = a.flag("labels");
   const std::size_t hosts = ranged_num_arg(a, "hosts", 1000, 0, kMaxCount);
   const std::size_t routes = ranged_num_arg(a, "routes", 500, 0, kMaxCount);
   ObsSession watch(a);
@@ -405,16 +413,6 @@ int cmd_intra(const Args& a) {
              stretch.empty() ? 0.0 : stretch.mean()});
   t.add_row({std::string("mean state entries/router"),
              net.mean_state_entries()});
-  if (cfg.enable_labels) {
-    const auto lt = net.label_totals();
-    obs::Registry& m = net.simulator().metrics();
-    t.add_row({std::string("label flows / entries"),
-               std::to_string(lt.flows) + " / " + std::to_string(lt.entries)});
-    t.add_row(
-        {std::string("label hits / misses"),
-         std::to_string(m.counter_value(m.counter("labels.hits"))) + " / " +
-             std::to_string(m.counter_value(m.counter("labels.misses")))});
-  }
   t.add_row({std::string("ring verified"), std::string(rings_ok ? "yes" : err)});
   t.print(std::cout);
   watch.finish(net.simulator(), last_trace);
@@ -550,9 +548,7 @@ int cmd_faults(const Args& a) {
   Rng rng(seed);
   graph::IspTopology topo = isp_from_args(a, rng);
   ObsSession watch(a);
-  intra::Config fcfg;
-  fcfg.enable_labels = a.flag("labels");
-  intra::Network net(&topo, fcfg, seed + 1);
+  intra::Network net(&topo, intra::Config{}, seed + 1);
   watch.install(net.simulator());
   if (watch.want_route_dump) net.set_flight_recorder(&watch.recorder);
 
@@ -702,7 +698,6 @@ int cmd_audit(const Args& a) {
   if (!a.str("timeline", "").empty()) {
     params.timeline_window_ms = real_arg(a, "timeline-window", 25.0, true);
   }
-  params.net_cfg.enable_labels = a.flag("labels");
   const double loss = rate_arg(a, "loss", 0.0);
   const double dup = rate_arg(a, "dup", 0.0);
   const double corrupt = rate_arg(a, "corrupt", 0.0);
@@ -1235,19 +1230,17 @@ void usage() {
       "roflsim -- ROFL (Routing on Flat Labels) experiment driver\n\n"
       "  roflsim topology  [--isp as1221|as1239|as3257|as3967 | --internet]\n"
       "  roflsim intra     [--isp NAME] [--hosts N] [--routes N] [--cache N]\n"
-      "                    [--labels]\n"
       "  roflsim inter     [--ids N] [--strategy eph|single|multi|peering]\n"
       "                    [--fingers N] [--bloom] [--routes N]\n"
       "  roflsim partition [--isp NAME] [--ids-per-pop N]\n"
       "  roflsim faults    [--isp NAME] [--hosts N] [--churn N] [--loss P]\n"
       "                    [--dup P] [--corrupt P] [--jitter MS] [--flaps N]\n"
-      "                    [--labels] [--metrics-json FILE]\n"
+      "                    [--metrics-json FILE]\n"
       "  roflsim audit     [--routers N] [--pops N] [--events N] [--loss P]\n"
       "                    [--dup P] [--corrupt P] [--audit-interval MS]\n"
       "                    [--settle MS]\n"
       "                    [--initial-hosts N] [--report] [--shrink]\n"
-      "                    [--shrink-probes N]\n"
-      "                    [--labels] [--metrics-json FILE]\n"
+      "                    [--shrink-probes N] [--metrics-json FILE]\n"
       "  roflsim shard     [--shards N] [--hosts N] [--ases N] [--duration MS]\n"
       "                    [--tick MS] [--rate OPS_PER_HOST_HZ] [--slots N]\n"
       "                    [--lookahead MS] [--report] [--metrics] [--profile]\n"
@@ -1256,9 +1249,11 @@ void usage() {
       "                    [--backend udp|loopback] [--spawn] [--rate PPS]\n"
       "                    [--loss P] [--dup P] [--corrupt P] [--jitter MS]\n"
       "                    [--deadline-ms MS] [--base-port P]\n"
-      "                    [--outstanding N] [--metrics] [--metrics-json F]\n"
+      "                    [--outstanding N] [--lookups N] [--leave ROUTER]\n"
+      "                    [--metrics] [--metrics-json F]\n"
       "  roflsim timeline  --file FILE [--metric SUBSTR] [--width N]\n\n"
-      "All commands accept --seed S (default 1); runs are reproducible.\n"
+      "Every command but `timeline` accepts --seed S (default 1); runs are\n"
+      "reproducible.  A flag the command does not read exits 2.\n"
       "`net` runs the control plane over actual sockets: a live mesh of\n"
       "router event loops (threads, or processes with --spawn) exchanging\n"
       "wire frames over localhost UDP, converging a join storm and auditing\n"
@@ -1272,18 +1267,53 @@ void usage() {
       "bit-identical for every --shards value of the same seed (--profile\n"
       "prints the wall-clock busy/stall/idle engine profile per shard).\n"
       "`timeline` renders a --timeline JSONL file as sparkline series.\n"
-      "Observability (intra/inter/partition/faults/audit/shard):\n"
+      "Observability (intra/inter/partition/faults; --timeline and\n"
+      "--timeline-window also audit/shard/net, --metrics also shard/net):\n"
       "  --trace FILE        write a Perfetto/chrome://tracing timeline;\n"
       "                      with --timeline it also carries counter tracks\n"
       "  --traceroute        print the hop dump of the last delivered route\n"
       "  --metrics           print the metrics registry after the run\n"
       "  --timeline FILE     write windowed metric deltas as JSONL\n"
       "  --timeline-window MS  window width (default 25; shard 50; must be a\n"
-      "                      positive number -- 0 is rejected, not defaulted)\n"
-      "  --labels            label-switched fast path for established flows\n"
-      "                      (intra/faults/audit).  Route outcomes are\n"
-      "                      byte-identical with and without it: `audit`\n"
-      "                      prints a mode-independent \"routes digest\".\n";
+      "                      positive number -- 0 is rejected, not defaulted)\n";
+}
+
+/// The flags each command reads.  main() rejects any other flag, and any
+/// stray argument, before the command runs: the parser takes every "--name",
+/// so a mistyped or retired flag ("--los 0.5") would otherwise run as if it
+/// were absent.
+const std::map<std::string, std::set<std::string>>& command_flags() {
+  // ObsSession's flags, read by the commands that build one.
+  const auto with_obs = [](std::set<std::string> flags) {
+    flags.insert({"trace", "traceroute", "metrics", "timeline",
+                  "timeline-window"});
+    return flags;
+  };
+  static const std::map<std::string, std::set<std::string>> table = {
+      {"topology", {"seed", "isp", "internet"}},
+      {"intra", with_obs({"seed", "isp", "hosts", "routes", "cache"})},
+      {"inter",
+       with_obs({"seed", "ids", "strategy", "fingers", "bloom", "routes"})},
+      {"partition", with_obs({"seed", "isp", "ids-per-pop"})},
+      {"faults",
+       with_obs({"seed", "isp", "hosts", "churn", "loss", "dup", "corrupt",
+                 "jitter", "flaps", "metrics-json"})},
+      {"audit",
+       {"seed", "routers", "pops", "events", "end", "loss", "dup", "corrupt",
+        "audit-interval", "settle", "initial-hosts", "report", "shrink",
+        "shrink-probes", "metrics-json", "timeline", "timeline-window"}},
+      {"shard",
+       {"seed", "shards", "hosts", "ases", "duration", "tick", "rate",
+        "slots", "lookahead", "report", "metrics", "profile", "metrics-json",
+        "timeline", "timeline-window"}},
+      {"net",
+       {"seed", "routers", "hosts", "fingers", "backend", "spawn", "worker",
+        "rate", "loss", "dup", "corrupt", "jitter", "deadline-ms",
+        "base-port", "outstanding", "lookups", "leave", "metrics",
+        "metrics-json", "timeline", "timeline-window"}},
+      {"timeline", {"file", "metric", "width"}},
+  };
+  return table;
 }
 
 }  // namespace
@@ -1295,6 +1325,24 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   const Args args = parse(argc, argv, 2);
+  const auto known = command_flags().find(cmd);
+  if (known == command_flags().end()) {
+    usage();
+    return 2;
+  }
+  for (const auto& [flag, value] : args.kv) {
+    if (!known->second.contains(flag)) {
+      std::cerr << "roflsim " << cmd << ": unknown flag --" << flag << "\n\n";
+      usage();
+      return 2;
+    }
+  }
+  if (!args.stray.empty()) {
+    std::cerr << "roflsim " << cmd << ": unexpected argument '"
+              << args.stray.front() << "'\n\n";
+    usage();
+    return 2;
+  }
   if (cmd == "topology") return cmd_topology(args);
   if (cmd == "intra") return cmd_intra(args);
   if (cmd == "inter") return cmd_inter(args);
