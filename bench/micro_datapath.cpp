@@ -4,17 +4,11 @@
 // lookups (the per-packet operations of Algorithm 2), and end-to-end greedy
 // forwarding on a warm intradomain network.
 //
-// The *Baseline benches reimplement the pre-flattening datapath (std::map
-// ring state, tick->id / id->tick LRU double-map, std::priority_queue of
-// std::function events) so the speedup of the flat structures is measured
-// in-tree rather than asserted.  Results are also written to
-// BENCH_datapath.json (see bench/emit_json.hpp and
-// scripts/bench_trajectory.py).
+// Results are also written to BENCH_datapath.json (see bench/emit_json.hpp
+// and scripts/bench_trajectory.py).
 #include <benchmark/benchmark.h>
 
-#include <functional>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "bench/emit_json.hpp"
@@ -93,7 +87,7 @@ void BM_BloomProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomProbe)->Arg(1 << 12)->Arg(1 << 20);
 
-// -- pointer cache: flat slab+LRU vs the seed's map/double-tick-map ---------
+// -- pointer cache ----------------------------------------------------------
 
 void BM_PointerCacheBestMatch(benchmark::State& state) {
   intra::PointerCache pc(static_cast<std::size_t>(state.range(0)));
@@ -109,69 +103,6 @@ void BM_PointerCacheBestMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PointerCacheBestMatch)->Arg(1024)->Arg(65536);
 
-// Faithful replica of the seed PointerCache: ordered map of entries plus a
-// tick->id / id->tick double-map for LRU bookkeeping.
-class MapPointerCacheBaseline {
- public:
-  explicit MapPointerCacheBaseline(std::size_t capacity)
-      : capacity_(capacity) {}
-
-  void insert(const NodeId& id, graph::NodeIndex host,
-              intra::SourceRoute path) {
-    if (capacity_ == 0) return;
-    auto [it, inserted] = entries_.insert_or_assign(
-        id, intra::CacheEntry{id, host, std::move(path)});
-    (void)it;
-    if (inserted && entries_.size() > capacity_) evict_lru();
-    touch(id);
-  }
-
-  const intra::CacheEntry* best_match(const NodeId& dest) {
-    if (entries_.empty()) return nullptr;
-    auto it = entries_.upper_bound(dest);
-    if (it == entries_.begin()) it = entries_.end();
-    --it;
-    touch(it->first);
-    return &it->second;
-  }
-
- private:
-  void touch(const NodeId& id) {
-    const auto tick_it = tick_of_.find(id);
-    if (tick_it != tick_of_.end()) by_tick_.erase(tick_it->second);
-    by_tick_[next_tick_] = id;
-    tick_of_[id] = next_tick_;
-    ++next_tick_;
-  }
-
-  void evict_lru() {
-    const auto oldest = by_tick_.begin();
-    entries_.erase(oldest->second);
-    tick_of_.erase(oldest->second);
-    by_tick_.erase(oldest);
-  }
-
-  std::size_t capacity_;
-  std::map<NodeId, intra::CacheEntry> entries_;
-  std::map<std::uint64_t, NodeId> by_tick_;
-  std::map<NodeId, std::uint64_t> tick_of_;
-  std::uint64_t next_tick_ = 0;
-};
-
-void BM_PointerCacheBestMatchMapBaseline(benchmark::State& state) {
-  MapPointerCacheBaseline pc(static_cast<std::size_t>(state.range(0)));
-  Rng rng(5);  // same fill sequence as the flat bench
-  for (int i = 0; i < state.range(0); ++i) {
-    pc.insert(NodeId(rng.next_u64(), rng.next_u64()), 1, {0, 1});
-  }
-  const std::vector<NodeId> dests = make_dests(50);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pc.best_match(dests[i++ % dests.size()]));
-  }
-}
-BENCHMARK(BM_PointerCacheBestMatchMapBaseline)->Arg(1024)->Arg(65536);
-
 void BM_PointerCacheInsertEvict(benchmark::State& state) {
   intra::PointerCache pc(static_cast<std::size_t>(state.range(0)));
   Rng rng(51);
@@ -183,16 +114,6 @@ void BM_PointerCacheInsertEvict(benchmark::State& state) {
   (void)rng;
 }
 BENCHMARK(BM_PointerCacheInsertEvict)->Arg(1024);
-
-void BM_PointerCacheInsertEvictMapBaseline(benchmark::State& state) {
-  MapPointerCacheBaseline pc(static_cast<std::size_t>(state.range(0)));
-  const std::vector<NodeId> keys = make_dests(52, 4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    pc.insert(keys[i++ % keys.size()], 1, {0, 1});
-  }
-}
-BENCHMARK(BM_PointerCacheInsertEvictMapBaseline)->Arg(1024);
 
 // -- warm network fixture ---------------------------------------------------
 
@@ -221,23 +142,7 @@ WarmNetwork& warm() {
   return w;
 }
 
-// -- vnode best-match: flat SoA index vs the seed's std::map ----------------
-
-// Replica of the seed greedy-index value type.
-struct MapCandidate {
-  graph::NodeIndex host = 0;
-  bool resident = false;
-  int refs = 0;
-};
-
-// Seed lookup: ordered map with the old upper_bound-and-step-back wrap.
-const MapCandidate& map_best_match(const std::map<NodeId, MapCandidate>& known,
-                                   const NodeId& dest) {
-  auto it = known.upper_bound(dest);
-  if (it == known.begin()) it = known.end();
-  --it;
-  return it->second;
-}
+// -- vnode best-match -------------------------------------------------------
 
 void BM_VnBestMatch(benchmark::State& state) {
   WarmNetwork& w = warm();
@@ -250,75 +155,32 @@ void BM_VnBestMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_VnBestMatch);
 
-void BM_VnBestMatchMapBaseline(benchmark::State& state) {
-  // The same pointer set router 0 holds (resident vnodes + their successor
-  // groups), but in the seed's ordered map.
-  WarmNetwork& w = warm();
-  std::map<NodeId, MapCandidate> known;
-  const auto& router = w.net->router(0);
-  for (const auto& [vid, vn] : router.vnodes()) {
-    if (vn.host_class == intra::HostClass::kEphemeral) continue;
-    known.insert_or_assign(vid, MapCandidate{router.index(), true, 1});
-    for (const intra::NeighborPtr& s : vn.successors) {
-      auto [it, inserted] = known.try_emplace(
-          s.id, MapCandidate{s.host, false, 0});
-      ++it->second.refs;
-    }
-  }
-  const std::vector<NodeId> dests = make_dests(8, 4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map_best_match(known, dests[i++ % dests.size()]));
-  }
-}
-BENCHMARK(BM_VnBestMatchMapBaseline);
-
 // Size-parameterized variant: a router loaded with N resident vnodes (the
-// dense-deployment end of figure 6c) and the identical ID set in the seed's
-// map, so the structures -- not the population -- are the variable.
-struct SizedIndexFixture {
-  std::unique_ptr<intra::Router> router;
-  std::map<NodeId, MapCandidate> known;
-};
-
-const SizedIndexFixture& sized_index(std::size_t n) {
-  static std::map<std::size_t, SizedIndexFixture> cache;
-  auto it = cache.find(n);
-  if (it != cache.end()) return it->second;
-  SizedIndexFixture& f = cache[n];
+// dense-deployment end of figure 6c).
+const intra::Router& sized_router(std::size_t n) {
+  static std::map<std::size_t, std::unique_ptr<intra::Router>> cache;
+  std::unique_ptr<intra::Router>& router = cache[n];
+  if (router != nullptr) return *router;
   Rng rng(60 + static_cast<std::uint64_t>(n));
-  f.router = std::make_unique<intra::Router>(0, Identity::generate(rng), 0);
+  router = std::make_unique<intra::Router>(0, Identity::generate(rng), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id(rng.next_u64(), rng.next_u64());
     intra::VirtualNode vn;
-    vn.id = id;
-    if (f.router->add_vnode(std::move(vn)) != nullptr) {
-      f.known.insert_or_assign(id, MapCandidate{0, true, 1});
-    }
+    vn.id = NodeId(rng.next_u64(), rng.next_u64());
+    (void)router->add_vnode(std::move(vn));
   }
-  return f;
+  return *router;
 }
 
 void BM_VnBestMatchSized(benchmark::State& state) {
-  const SizedIndexFixture& f = sized_index(static_cast<std::size_t>(state.range(0)));
+  const intra::Router& router =
+      sized_router(static_cast<std::size_t>(state.range(0)));
   const std::vector<NodeId> dests = make_dests(8, 4096);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        f.router->vn_best_match(dests[i++ % dests.size()]));
+    benchmark::DoNotOptimize(router.vn_best_match(dests[i++ % dests.size()]));
   }
 }
 BENCHMARK(BM_VnBestMatchSized)->Arg(1024)->Arg(65536);
-
-void BM_VnBestMatchSizedMapBaseline(benchmark::State& state) {
-  const SizedIndexFixture& f = sized_index(static_cast<std::size_t>(state.range(0)));
-  const std::vector<NodeId> dests = make_dests(8, 4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map_best_match(f.known, dests[i++ % dests.size()]));
-  }
-}
-BENCHMARK(BM_VnBestMatchSizedMapBaseline)->Arg(1024)->Arg(65536);
 
 // -- per-hop forwarding decision --------------------------------------------
 
@@ -339,15 +201,13 @@ void BM_HopDecisionGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_HopDecisionGreedy);
 
-// -- event loop: slab/SBO/4-ary-heap simulator vs priority_queue+function ---
+// -- event loop -------------------------------------------------------------
 
 constexpr int kEventBatch = 512;
 
 // Protocol events capture a handful of IDs/indices; 40 bytes is typical of
-// the unicast/teardown closures in network.cpp.  That fits the Simulator
-// Action's 48-byte SBO buffer but exceeds std::function's (16 bytes in
-// libstdc++), so the baseline pays one heap allocation per event exactly as
-// the seed loop did.
+// the unicast/teardown closures in network.cpp, and fits the Simulator
+// Action's 48-byte SBO buffer.
 struct EventPayload {
   std::uint64_t vals[4] = {1, 2, 3, 4};
 };
@@ -372,47 +232,6 @@ void BM_EventLoopSimulator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEventBatch);
 }
 BENCHMARK(BM_EventLoopSimulator);
-
-void BM_EventLoopPriorityQueueBaseline(benchmark::State& state) {
-  // The seed event loop: std::function payloads in a binary
-  // std::priority_queue.
-  struct Item {
-    double when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::uint64_t sink = 0;
-  const EventPayload payload;
-  for (auto _ : state) {
-    std::priority_queue<Item, std::vector<Item>, Later> q;
-    std::uint64_t seq = 0;
-    for (int i = 0; i < kEventBatch; ++i) {
-      const double when = static_cast<double>((i * 37) % 97);
-      q.push(Item{when, seq++, [&sink, payload, i] {
-                    sink += payload.vals[i & 3] + static_cast<unsigned>(i);
-                  }});
-    }
-    std::uint64_t ran = 0;
-    while (!q.empty()) {
-      // The const_cast move mirrors what the seed Simulator::step did to get
-      // the callable out of priority_queue's const top().
-      Item item = std::move(const_cast<Item&>(q.top()));
-      q.pop();
-      item.fn();
-      ++ran;
-    }
-    benchmark::DoNotOptimize(ran);
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * kEventBatch);
-}
-BENCHMARK(BM_EventLoopPriorityQueueBaseline);
 
 // -- end-to-end -------------------------------------------------------------
 

@@ -2,17 +2,14 @@
 """Run the datapath microbenchmarks and track their trajectory over time.
 
 Stdlib-only driver around build/bench/micro_datapath, which writes
-BENCH_datapath.json (see bench/emit_json.hpp).  Three subcommands:
+BENCH_datapath.json (see bench/emit_json.hpp).  Two subcommands:
 
-  run      -- execute the bench binary, emit the JSON, and print a summary
-              that pairs every *Baseline bench with its flat-datapath
-              counterpart and reports the speedup factor.
+  run      -- execute the bench binary and emit the JSON.
   compare  -- diff two BENCH_datapath.json files (e.g. from two commits)
               and print per-benchmark deltas.  Exits 1 when any benchmark
               regresses beyond its threshold, so it works as a CI perf gate
               (scripts/check.sh wires it in under ROFL_CHECK_FULL against
               the baseline named by ROFL_BENCH_BASELINE).
-  summary  -- re-print the pairing table for an existing JSON file.
 
 compare thresholds: --tolerance sets the default allowed slowdown percent;
 per-benchmark overrides come from --thresholds FILE (JSON, see
@@ -38,12 +35,6 @@ import sys
 DEFAULT_BENCH = os.path.join("build", "bench", "micro_datapath")
 DEFAULT_JSON = "BENCH_datapath.json"
 
-# Baseline benches encode their flat counterpart in their name.
-BASELINE_REWRITES = [
-    ("PriorityQueueBaseline", "Simulator"),
-    ("MapBaseline", ""),
-]
-
 
 def load(path):
     with open(path) as f:
@@ -57,32 +48,6 @@ def load(path):
             for name, row in doc.get("benchmarks", {}).items()}
 
 
-def flat_counterpart(name):
-    """Maps a *Baseline bench name to its flat-datapath bench, or None."""
-    for marker, replacement in BASELINE_REWRITES:
-        if marker in name:
-            return name.replace(marker, replacement)
-    return None
-
-
-def print_summary(results):
-    rows = []
-    for name, ns in sorted(results.items()):
-        flat = flat_counterpart(name)
-        if flat is None or flat not in results:
-            continue
-        rows.append((flat, results[flat], name, ns, ns / results[flat]))
-    if not rows:
-        print("no baseline/flat pairs found")
-        return
-    width = max(len(r[0]) for r in rows)
-    print(f"\n{'flat bench':<{width}}  {'flat ns':>10}  {'baseline ns':>12}  "
-          f"{'speedup':>8}")
-    for flat, flat_ns, _, base_ns, speedup in rows:
-        print(f"{flat:<{width}}  {flat_ns:>10.1f}  {base_ns:>12.1f}  "
-              f"{speedup:>7.2f}x")
-
-
 def cmd_run(args):
     if not os.path.exists(args.bench):
         sys.exit(f"bench binary not found: {args.bench} (build it first)")
@@ -91,11 +56,6 @@ def cmd_run(args):
         cmd.append(f"--benchmark_filter={args.filter}")
     env = dict(os.environ, ROFL_BENCH_JSON=args.out)
     subprocess.run(cmd, env=env, check=True)
-    print_summary(load(args.out))
-
-
-def cmd_summary(args):
-    print_summary(load(args.json))
 
 
 def load_thresholds(args):
@@ -175,7 +135,7 @@ def main():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    run = sub.add_parser("run", help="run micro_datapath and summarize")
+    run = sub.add_parser("run", help="run micro_datapath and emit the JSON")
     run.add_argument("--bench", default=DEFAULT_BENCH)
     run.add_argument("--out", default=DEFAULT_JSON)
     run.add_argument("--filter", default="",
@@ -183,10 +143,6 @@ def main():
     run.add_argument("--min-time", default="0.1",
                      help="--benchmark_min_time seconds (default 0.1)")
     run.set_defaults(fn=cmd_run)
-
-    summ = sub.add_parser("summary", help="pairing table for an existing JSON")
-    summ.add_argument("json", nargs="?", default=DEFAULT_JSON)
-    summ.set_defaults(fn=cmd_summary)
 
     comp = sub.add_parser("compare", help="diff two BENCH_datapath.json files")
     comp.add_argument("old")

@@ -23,7 +23,6 @@ CmuEthernet::JoinStats CmuEthernet::join_host(const NodeId& id,
   if (bindings_.contains(id)) return stats;
   bindings_[id] = gateway;
   stats.messages = 1 + flood_cost();  // attach + network-wide flood
-  total_join_messages_ += stats.messages;
   stats.ok = true;
   return stats;
 }

@@ -52,9 +52,6 @@ class CmuEthernet {
   [[nodiscard]] std::uint64_t entries_per_router() const {
     return bindings_.size();
   }
-  [[nodiscard]] std::uint64_t total_join_messages() const {
-    return total_join_messages_;
-  }
   [[nodiscard]] std::size_t host_count() const { return bindings_.size(); }
 
  private:
@@ -63,7 +60,6 @@ class CmuEthernet {
   const graph::IspTopology* topo_;
   linkstate::LinkStateMap map_;
   std::map<NodeId, graph::NodeIndex> bindings_;
-  std::uint64_t total_join_messages_ = 0;
 };
 
 }  // namespace rofl::baselines

@@ -47,14 +47,6 @@ InterNetwork::InterNetwork(const graph::AsTopology* base, InterConfig cfg,
   }
 }
 
-void InterNetwork::set_shard_map(std::vector<std::uint32_t> map) {
-  shard_map_ = std::move(map);
-  if (!shard_map_.empty()) {
-    shard_cross_msgs_id_ = sim_.metrics().counter("shards.cross_msgs");
-    shard_cross_bytes_id_ = sim_.metrics().counter("shards.cross_bytes");
-  }
-}
-
 // ---------------------------------------------------------------------------
 // ancestor masks
 
@@ -944,21 +936,6 @@ InterRouteStats InterNetwork::route(AsIndex src_as, const NodeId& dest,
   sim_.counters().add(sim::MsgCategory::kData, stats.as_hops);
   sim_.counters().add_bytes(sim::MsgCategory::kData,
                             std::uint64_t{stats.as_hops} * data_frame_bytes_);
-  if (!shard_map_.empty()) {
-    // Shard-boundary crossings along the traversed AS path: each one is a
-    // frame the sharded engine would move through an SPSC channel.
-    std::uint64_t crossings = 0;
-    for (std::size_t i = 1; i < trace->size(); ++i) {
-      const AsIndex u = (*trace)[i - 1];
-      const AsIndex v = (*trace)[i];
-      if (u >= shard_map_.size() || v >= shard_map_.size()) continue;
-      if (shard_map_[u] != shard_map_[v]) ++crossings;
-    }
-    if (crossings > 0) {
-      sim_.metrics().add(shard_cross_msgs_id_, crossings);
-      sim_.metrics().add(shard_cross_bytes_id_, crossings * data_frame_bytes_);
-    }
-  }
   return stats;
 }
 

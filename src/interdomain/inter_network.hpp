@@ -112,18 +112,6 @@ class InterNetwork {
     return recorder_;
   }
 
-  // -- sharded execution ----------------------------------------------------
-  /// Declares which shard each AS belongs to (sim::balanced_shard_map over
-  /// the working topology; empty = unsharded).  Every route() then counts
-  /// the shard boundaries its traversed AS path crosses on
-  /// "shards.cross_msgs" / "shards.cross_bytes" -- the traffic the SPSC
-  /// channels would carry under the sharded simulator with this partition.
-  /// ASes beyond the map (virtual peering ASes added later) never count.
-  void set_shard_map(std::vector<std::uint32_t> map);
-  [[nodiscard]] const std::vector<std::uint32_t>& shard_map() const {
-    return shard_map_;
-  }
-
   /// Installs (or removes, with nullptr) a fault injector.  Control-plane
   /// exchanges (ring-merge join levels, re-anchor registrations) then run
   /// through retry-with-backoff (InterConfig::retry); an exchange whose
@@ -303,10 +291,6 @@ class InterNetwork {
   obs::MetricId probes_id_ = 0;
   obs::MetricId encode_failures_id_ = 0;
   obs::MetricId codec_rejected_id_ = 0;
-  // Sharded-execution accounting (set_shard_map); empty when unsharded.
-  std::vector<std::uint32_t> shard_map_;
-  obs::MetricId shard_cross_msgs_id_ = 0;
-  obs::MetricId shard_cross_bytes_id_ = 0;
   /// Framing overhead charged per AS-level data hop (measured once from the
   /// encoder -- interdomain data packets carry an empty payload here).
   std::size_t data_frame_bytes_ = 0;

@@ -441,7 +441,8 @@ int run_mesh_spawn(const MeshConfig& cfg, const std::string& exe,
           "--dup", arg(cfg.conditions.duplicate),
           "--jitter", arg(cfg.conditions.jitter_ms),
           "--corrupt", arg(cfg.conditions.corrupt),
-          "--rate", arg(cfg.rate_pps)};
+          "--rate", arg(cfg.rate_pps),
+          "--outstanding", arg(cfg.max_outstanding)};
       std::vector<char*> argv;
       argv.reserve(argv_s.size() + 1);
       for (auto& s : argv_s) argv.push_back(s.data());

@@ -269,7 +269,7 @@ class Transport {
       transmit(dst, std::move(datagram), now_ms);
       return;
     }
-    const sim::FaultDecision d = injector_->on_link(self_, dst);
+    const sim::FaultDecision d = injector_->on_link();
     if (d.dropped) return;
     for (std::uint32_t copy = 0; copy < d.copies; ++copy) {
       std::vector<std::uint8_t> wire = datagram;

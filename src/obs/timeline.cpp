@@ -328,28 +328,6 @@ std::string Timeline::to_jsonl() const {
   return os.str();
 }
 
-std::string Timeline::series_json(const std::vector<std::string>& counters,
-                                  int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  std::ostringstream os;
-  os << "{\n";
-  os << pad << "  \"window_ms\": " << cfg_.window_ms << ",\n";
-  os << pad << "  \"first_window\": " << first_index_ << ",\n";
-  os << pad << "  \"windows\": " << ring_.size();
-  for (const std::string& name : counters) {
-    const auto series = counter_series(name);
-    os << ",\n" << pad << "  \"";
-    json_escape_into(os, name);
-    os << "\": [";
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << series[i];
-    }
-    os << "]";
-  }
-  os << "\n" << pad << "}";
-  return os.str();
-}
-
 void Timeline::set_trace_sink(Tracer* tracer, std::uint32_t track) {
   trace_sink_ = tracer;
   trace_track_ = track;

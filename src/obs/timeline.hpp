@@ -115,11 +115,6 @@ class Timeline {
   /// Contains no wall-clock fields, so two deterministic runs byte-compare.
   [[nodiscard]] std::string to_jsonl() const;
 
-  /// Compact JSON array of the named counters' series, for embedding in
-  /// BENCH_*.json: {"window_ms": W, "first_window": F, name: [deltas...]}.
-  [[nodiscard]] std::string series_json(
-      const std::vector<std::string>& counters, int indent = 0) const;
-
   /// Installs a live Chrome-trace counter sink: every window close emits one
   /// "ph":"C" event per nonzero counter delta at the window's end time, so
   /// the series render as graphs in Perfetto alongside the spans.  Emission

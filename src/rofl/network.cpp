@@ -110,15 +110,6 @@ std::vector<proto::CanonicalRing> Network::component_rings() const {
   return rings;
 }
 
-void Network::set_shard_map(std::vector<std::uint32_t> map) {
-  assert(map.empty() || map.size() == routers_.size());
-  shard_map_ = std::move(map);
-  if (!shard_map_.empty()) {
-    shard_cross_msgs_id_ = sim_.metrics().counter("shards.cross_msgs");
-    shard_cross_bytes_id_ = sim_.metrics().counter("shards.cross_bytes");
-  }
-}
-
 Network::Exchange Network::carry(NodeIndex a, NodeIndex b,
                                  sim::MsgCategory cat,
                                  const std::vector<std::uint8_t>& frame) {
@@ -146,7 +137,7 @@ Network::Exchange Network::carry(NodeIndex a, NodeIndex b,
       for (std::size_t i = 0; i + 1 < t.path.size(); ++i) {
         const NodeIndex u = t.path[i];
         const NodeIndex v = t.path[i + 1];
-        const sim::FaultDecision d = faults_->on_link(u, v);
+        const sim::FaultDecision d = faults_->on_link();
         t.messages += d.copies * packets;
         sim_.counters().add(cat, d.copies * packets);
         sim_.counters().add_bytes(cat, d.copies * frame.size());
@@ -166,10 +157,6 @@ Network::Exchange Network::carry(NodeIndex a, NodeIndex b,
         }
         t.latency_ms += link_latency(u, v) + d.extra_latency_ms;
       }
-    }
-    if (!shard_map_.empty() && shard_map_[a] != shard_map_[b]) {
-      sim_.metrics().add(shard_cross_msgs_id_);
-      sim_.metrics().add(shard_cross_bytes_id_, frame.size());
     }
   }
   // The receiving router acts only on what it decodes off the wire.
@@ -221,7 +208,7 @@ sim::FaultDecision Network::cross_link(NodeIndex u, NodeIndex v,
   ++stats.physical_hops;
   sim::FaultDecision fd;
   if (faults_ != nullptr && faults_->message_faults_enabled()) {
-    fd = faults_->on_link(u, v);
+    fd = faults_->on_link();
     if (!fd.dropped) stats.latency_ms += fd.extra_latency_ms;
   }
   sim_.counters().add(sim::MsgCategory::kData, fd.copies);
@@ -698,8 +685,11 @@ std::uint64_t Network::refill_successors(VirtualNode& vn, sim::MsgCategory cat,
   return t.messages;
 }
 
-RepairStats Network::splice_out(NodeId id, bool directed_flood,
-                                sim::MsgCategory cat) {
+RepairStats Network::fail_host(NodeId id) {
+  // Every message of a departure is teardown traffic.
+  constexpr sim::MsgCategory cat = sim::MsgCategory::kTeardown;
+  host_identities_.erase(id);
+  host_class_.erase(id);
   RepairStats stats;
   const auto dir_it = directory_.find(id);
   if (dir_it == directory_.end()) return stats;
@@ -813,26 +803,16 @@ RepairStats Network::splice_out(NodeId id, bool directed_flood,
   // Directed flood (section 3.2, "Host failure"): a source-routed flood over
   // the constrained router set -- the routers that carried this ID's control
   // messages -- clearing their cached pointers.
-  if (directed_flood && !control_path.empty()) {
+  if (!control_path.empty()) {
     for (const NodeIndex r : control_path) {
       if (r < routers_.size()) routers_[r]->cache().erase(id);
     }
-    const std::uint64_t flood_msgs = control_path.size() > 0
-                                         ? control_path.size() - 1
-                                         : 0;
+    const std::uint64_t flood_msgs = control_path.size() - 1;
     stats.messages += flood_msgs;
     sim_.counters().add(cat, flood_msgs);
     // Each leg of the flood carries the same encoded teardown frame.
     sim_.counters().add_bytes(cat, flood_msgs * teardown_frame_bytes_);
   }
-  return stats;
-}
-
-RepairStats Network::fail_host(NodeId id) {
-  RepairStats stats = splice_out(id, /*directed_flood=*/true,
-                                 sim::MsgCategory::kTeardown);
-  host_identities_.erase(id);
-  host_class_.erase(id);
   return stats;
 }
 

@@ -119,10 +119,12 @@ class Network {
                           NodeIndex gateway,
                           HostClass host_class = HostClass::kStable);
 
-  /// Ungraceful host death: session timeout at the gateway, teardowns to the
-  /// ring neighbors, directed flood over the cached-state router set.  The
-  /// id is taken by value: the departure frees its directory entry, so a
-  /// caller may pass a key read out of directory().
+  /// Ungraceful host death: session timeout at the gateway, teardowns that
+  /// relink the ring around the id, and the directed flood over the
+  /// cached-state router set, all charged as teardown traffic.  The id is
+  /// taken by value: the departure frees its directory entry before the
+  /// teardowns that carry it go out, so a caller may pass a key read out of
+  /// directory().
   RepairStats fail_host(NodeId id);
 
   /// Graceful leave: the same splice-out and directed cache-purge flood as
@@ -181,18 +183,6 @@ class Network {
   /// one null check and behaves exactly as before.
   void set_fault_injector(sim::FaultInjector* injector) { faults_ = injector; }
   [[nodiscard]] sim::FaultInjector* fault_injector() const { return faults_; }
-
-  // -- sharded execution ----------------------------------------------------
-  /// Declares which shard each router belongs to (sim::balanced_shard_map
-  /// output; empty = unsharded).  Control exchanges whose endpoints live on
-  /// different shards are then counted on "shards.cross_msgs" /
-  /// "shards.cross_bytes" -- the wire volume that would cross SPSC channels
-  /// when this topology runs under the sharded simulator, and the number the
-  /// partition heuristic is judged by.
-  void set_shard_map(std::vector<std::uint32_t> map);
-  [[nodiscard]] const std::vector<std::uint32_t>& shard_map() const {
-    return shard_map_;
-  }
 
   /// Schedules the plan's link flaps and router crash/restart windows as
   /// simulator events driving fail_link/restore_link and
@@ -323,12 +313,6 @@ class Network {
   Transfer splice_in(VirtualNode& vn, NodeIndex pred_router,
                      const NodeId& pred_id, sim::MsgCategory cat);
 
-  /// Removes `id` from all ring neighbor state, relinking around it.  By
-  /// value: the directory entry a caller's reference could name is erased
-  /// before the teardowns that carry `id` go out.
-  RepairStats splice_out(NodeId id, bool directed_flood,
-                         sim::MsgCategory cat);
-
   /// Tops a vnode's successor group back up to k by copying from its first
   /// successor; one exchange when a refresh was needed.  `exclude` filters an
   /// ID that is mid-teardown out of the copied entries.
@@ -361,10 +345,6 @@ class Network {
   obs::MetricId stale_ptrs_id_ = 0;
   obs::MetricId encode_failures_id_ = 0;
   obs::MetricId codec_rejected_id_ = 0;
-  // Sharded-execution accounting (set_shard_map); empty when unsharded.
-  std::vector<std::uint32_t> shard_map_;
-  obs::MetricId shard_cross_msgs_id_ = 0;
-  obs::MetricId shard_cross_bytes_id_ = 0;
   // Wire size of a bare data packet / teardown frame, measured from the
   // encoder once at construction; the forwarding hot loop charges bytes
   // without re-encoding per hop.

@@ -1,26 +1,16 @@
 #include "sim/faults.hpp"
 
-namespace rofl::sim {
+#include <utility>
 
-bool FaultPlan::message_faults_possible() const {
-  if (defaults.active()) return true;
-  for (const LinkConditions& lc : link_overrides) {
-    if (lc.conditions.active()) return true;
-  }
-  return false;
-}
+namespace rofl::sim {
 
 FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed,
                              obs::Registry* registry)
     : plan_(std::move(plan)),
-      message_faults_(plan_.message_faults_possible()),
+      message_faults_(plan_.defaults.active()),
+      corruption_(plan_.defaults.corrupt > 0.0),
       rng_(seed),
       registry_(registry) {
-  corruption_ = plan_.defaults.corrupt > 0.0;
-  for (const LinkConditions& lc : plan_.link_overrides) {
-    overrides_[std::minmax(lc.u, lc.v)] = lc.conditions;
-    corruption_ = corruption_ || lc.conditions.corrupt > 0.0;
-  }
   dropped_id_ = registry_->counter("faults.dropped");
   duplicated_id_ = registry_->counter("faults.duplicated");
   delayed_id_ = registry_->counter("faults.delayed");
@@ -29,15 +19,6 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed,
   exhausted_id_ = registry_->counter("faults.retry_exhausted");
   flaps_id_ = registry_->counter("faults.link_flaps");
   crashes_id_ = registry_->counter("faults.crashes");
-}
-
-const NetworkConditions& FaultInjector::conditions_for(std::uint32_t u,
-                                                       std::uint32_t v) const {
-  if (!overrides_.empty()) {
-    const auto it = overrides_.find(std::minmax(u, v));
-    if (it != overrides_.end()) return it->second;
-  }
-  return plan_.defaults;
 }
 
 FaultDecision FaultInjector::decide(const NetworkConditions& c) {
@@ -58,10 +39,6 @@ FaultDecision FaultInjector::decide(const NetworkConditions& c) {
     registry_->add(delayed_id_);
   }
   return d;
-}
-
-FaultDecision FaultInjector::on_link(std::uint32_t u, std::uint32_t v) {
-  return decide(conditions_for(u, v));
 }
 
 bool FaultInjector::maybe_corrupt_frame(std::vector<std::uint8_t>& frame) {

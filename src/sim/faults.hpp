@@ -3,9 +3,9 @@
 // By default the discrete-event engine delivers every message exactly once
 // with deterministic latency, so none of ROFL's loss-recovery machinery is
 // ever exercised.  This module makes the network lie: a FaultPlan describes
-// per-link probabilistic message loss, duplication and latency jitter, plus
-// scheduled link flaps and router crash/restart windows; a FaultInjector
-// turns the plan into per-transmission decisions.
+// probabilistic message loss, duplication, corruption and latency jitter,
+// the same on every link, plus scheduled link flaps and router crash/restart
+// windows; a FaultInjector turns the plan into per-transmission decisions.
 //
 // Determinism contract: every stochastic decision flows through the
 // injector's own dedicated Rng stream, seeded explicitly and consulted in
@@ -26,8 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -35,9 +33,8 @@
 
 namespace rofl::sim {
 
-/// Message-level misbehavior of one link (or of the network as a whole when
-/// used as FaultPlan::defaults).  Probabilities apply independently to every
-/// physical transmission crossing the link.
+/// Message-level misbehavior of the network.  Probabilities apply
+/// independently to every physical transmission on every link.
 struct NetworkConditions {
   double loss = 0.0;       // P(transmission dropped)
   double duplicate = 0.0;  // P(one spurious extra copy transmitted)
@@ -47,13 +44,6 @@ struct NetworkConditions {
   [[nodiscard]] bool active() const {
     return loss > 0.0 || duplicate > 0.0 || jitter_ms > 0.0 || corrupt > 0.0;
   }
-};
-
-/// Conditions override for one undirected link (u, v).
-struct LinkConditions {
-  std::uint32_t u = 0;
-  std::uint32_t v = 0;
-  NetworkConditions conditions;
 };
 
 /// Scheduled link outage: down at `down_at_ms`, back up at `up_at_ms`.
@@ -77,15 +67,9 @@ struct CrashWindow {
 /// (e.g. intra::Network::schedule_fault_plan), which owns the fail/restore
 /// machinery the events must drive.
 struct FaultPlan {
-  NetworkConditions defaults;                 // applies to every link
-  std::vector<LinkConditions> link_overrides; // per-link exceptions
+  NetworkConditions defaults;  // applies to every link
   std::vector<LinkFlap> link_flaps;
   std::vector<CrashWindow> crash_windows;
-
-  /// True when any link can drop/duplicate/delay a message.  (Flap and crash
-  /// schedules do not count: they run through the normal failure APIs and
-  /// need no per-transmission branch.)
-  [[nodiscard]] bool message_faults_possible() const;
 };
 
 /// Retransmission policy for control-plane exchanges over an unreliable
@@ -131,11 +115,14 @@ class FaultInjector {
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
   /// One branch on the hot path: false means no link can misbehave and the
-  /// caller should take its original (fault-free) code path.
+  /// caller should take its original (fault-free) code path.  Flap and
+  /// crash schedules do not count: they run through the normal failure APIs
+  /// and need no per-transmission branch.
   [[nodiscard]] bool message_faults_enabled() const { return message_faults_; }
 
-  /// Decides the fate of one transmission crossing undirected link (u, v).
-  FaultDecision on_link(std::uint32_t u, std::uint32_t v);
+  /// Decides the fate of one transmission crossing a router-to-router link;
+  /// every link has the default conditions.
+  FaultDecision on_link() { return decide(plan_.defaults); }
 
   /// Decides the fate of one transmission on a host access link (the
   /// host<->gateway leg keepalives ride); default conditions apply.
@@ -153,8 +140,8 @@ class FaultInjector {
   /// randomness is consumed (same determinism contract as decide()).
   bool maybe_corrupt_frame(std::vector<std::uint8_t>& frame);
 
-  /// True when the corruption knob is set anywhere in the plan; senders use
-  /// this to skip the per-attempt frame copy on corruption-free runs.
+  /// True when the corruption knob is set; senders use this to skip the
+  /// per-attempt frame copy on corruption-free runs.
   [[nodiscard]] bool corruption_enabled() const { return corruption_; }
 
   // Bookkeeping hooks for the layers that own retry loops and schedules.
@@ -192,17 +179,12 @@ class FaultInjector {
 
  private:
   FaultDecision decide(const NetworkConditions& c);
-  [[nodiscard]] const NetworkConditions& conditions_for(std::uint32_t u,
-                                                        std::uint32_t v) const;
 
   FaultPlan plan_;
   bool message_faults_ = false;
   bool corruption_ = false;
   Rng rng_;  // dedicated stream: protocol RNGs never see fault decisions
   obs::Registry* registry_;
-  // Normalized (min, max) link key -> override conditions.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, NetworkConditions>
-      overrides_;
   obs::MetricId dropped_id_ = 0;
   obs::MetricId duplicated_id_ = 0;
   obs::MetricId delayed_id_ = 0;

@@ -1,4 +1,4 @@
-// profiler.hpp -- wall-clock self-profile of the simulation engines.
+// profiler.hpp -- wall-clock self-profile of the sharded simulation engine.
 //
 // The sharded engine (DESIGN.md section 13) can lose time three ways: doing
 // work (busy), spinning on the conservative horizon while events are queued
@@ -11,8 +11,9 @@
 // Every field here is WALL time measured with std::chrono::steady_clock.
 // None of it may ever enter a determinism digest, a byte-compared metrics
 // file, or a timeline window record -- it varies run to run by construction.
-// The engines only read the wall clock when a profiler is installed, so
-// unprofiled runs pay one predictable branch per loop iteration.
+// The engine only reads the wall clock when a profiler is installed
+// (ShardedSimulator::set_profiler), so unprofiled runs pay one predictable
+// branch per loop iteration.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,7 @@ namespace rofl::sim {
 
 class EngineProfiler {
  public:
-  /// Busy-time attribution for one event kind (ShardEvent::kind; the
-  /// single-threaded Simulator has no kinds and uses kind 0).
+  /// Busy-time attribution for one event kind (ShardEvent::kind).
   struct KindStats {
     std::uint64_t events = 0;
     double busy_s = 0.0;

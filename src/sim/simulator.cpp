@@ -1,12 +1,10 @@
 #include "sim/simulator.hpp"
 
 #include <cassert>
-#include <chrono>
 #include <string>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/timeline.hpp"
-#include "sim/profiler.hpp"
 
 namespace rofl::sim {
 
@@ -92,17 +90,7 @@ bool Simulator::step() {
     tracer_->instant("dispatch", "sim", now_ms_ * 1000.0, /*track=*/0,
                      {obs::TraceArg{"seq", item.seq}});
   }
-  if (profiler_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    action();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double dt = std::chrono::duration<double>(t1 - t0).count();
-    EngineProfiler::ShardProfile& p = profiler_->shard(0);
-    p.busy_s += dt;
-    p.add_event(0, dt);
-  } else {
-    action();
-  }
+  action();
   return true;
 }
 

@@ -31,8 +31,6 @@ class Timeline;
 
 namespace rofl::sim {
 
-class EngineProfiler;
-
 /// Categories of network-level messages, for the paper's overhead metrics.
 enum class MsgCategory : std::uint8_t {
   kJoin,        // join requests/replies and pointer setup (figures 5a/5b, 8a)
@@ -140,11 +138,6 @@ class Simulator {
   void set_timeline(obs::Timeline* timeline) { timeline_ = timeline; }
   [[nodiscard]] obs::Timeline* timeline() const { return timeline_; }
 
-  /// Installs (or removes) a wall-clock self-profiler (shard 0 of a
-  /// 1-shard EngineProfiler).  Wall time never enters the registry or the
-  /// timeline -- see profiler.hpp.  Not owned.
-  void set_profiler(EngineProfiler* profiler) { profiler_ = profiler; }
-
   /// Events dispatched over this simulator's lifetime (the "sim.events"
   /// registry counter).
   [[nodiscard]] std::uint64_t events_dispatched() const {
@@ -168,7 +161,6 @@ class Simulator {
   Counters counters_{&metrics_};
   obs::Tracer* tracer_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
-  EngineProfiler* profiler_ = nullptr;
 };
 
 }  // namespace rofl::sim

@@ -26,18 +26,19 @@ sim::FaultPlan lossy_plan(double loss, double dup = 0.0, double jitter = 0.0) {
 }
 
 TEST(FaultPlan, MessageFaultsPossible) {
+  const auto message_faults_possible = [](const sim::FaultPlan& plan) {
+    obs::Registry reg;
+    return sim::FaultInjector(plan, 1, &reg).message_faults_enabled();
+  };
   sim::FaultPlan plan;
-  EXPECT_FALSE(plan.message_faults_possible());
+  EXPECT_FALSE(message_faults_possible(plan));
   plan.link_flaps.push_back(sim::LinkFlap{0, 1, 10.0, 20.0});
   plan.crash_windows.push_back(sim::CrashWindow{2, 10.0, 20.0});
   // Schedules alone need no per-transmission branch.
-  EXPECT_FALSE(plan.message_faults_possible());
-  plan.link_overrides.push_back(
-      sim::LinkConditions{3, 4, {.loss = 0.5, .duplicate = 0.0, .jitter_ms = 0.0}});
-  EXPECT_TRUE(plan.message_faults_possible());
+  EXPECT_FALSE(message_faults_possible(plan));
   sim::FaultPlan plan2;
   plan2.defaults.jitter_ms = 1.0;
-  EXPECT_TRUE(plan2.message_faults_possible());
+  EXPECT_TRUE(message_faults_possible(plan2));
 }
 
 TEST(FaultInjector, SameSeedReproducesEveryDecision) {
@@ -46,8 +47,8 @@ TEST(FaultInjector, SameSeedReproducesEveryDecision) {
   sim::FaultInjector a(lossy_plan(0.2, 0.1, 2.0), 99, &reg_a);
   sim::FaultInjector b(lossy_plan(0.2, 0.1, 2.0), 99, &reg_b);
   for (int i = 0; i < 2000; ++i) {
-    const sim::FaultDecision da = a.on_link(i % 7, (i + 1) % 7);
-    const sim::FaultDecision db = b.on_link(i % 7, (i + 1) % 7);
+    const sim::FaultDecision da = a.on_link();
+    const sim::FaultDecision db = b.on_link();
     ASSERT_EQ(da.dropped, db.dropped) << i;
     ASSERT_EQ(da.copies, db.copies) << i;
     ASSERT_DOUBLE_EQ(da.extra_latency_ms, db.extra_latency_ms) << i;
@@ -64,29 +65,17 @@ TEST(FaultInjector, ExtremeKnobsBehaveAsSpecified) {
   obs::Registry reg;
   sim::FaultInjector always_drop(lossy_plan(1.0), 1, &reg);
   for (int i = 0; i < 10; ++i) {
-    const sim::FaultDecision d = always_drop.on_link(0, 1);
+    const sim::FaultDecision d = always_drop.on_link();
     EXPECT_TRUE(d.dropped);
     EXPECT_EQ(d.copies, 1u);  // the lost copy was still transmitted once
   }
   obs::Registry reg2;
   sim::FaultInjector always_dup(lossy_plan(0.0, 1.0), 1, &reg2);
   for (int i = 0; i < 10; ++i) {
-    const sim::FaultDecision d = always_dup.on_link(0, 1);
+    const sim::FaultDecision d = always_dup.on_link();
     EXPECT_FALSE(d.dropped);
     EXPECT_EQ(d.copies, 2u);
   }
-}
-
-TEST(FaultInjector, LinkOverridesAreUndirected) {
-  sim::FaultPlan plan;  // defaults reliable; one poisoned link
-  plan.link_overrides.push_back(
-      sim::LinkConditions{2, 3, {.loss = 1.0, .duplicate = 0.0, .jitter_ms = 0.0}});
-  obs::Registry reg;
-  sim::FaultInjector inj(plan, 7, &reg);
-  EXPECT_TRUE(inj.on_link(2, 3).dropped);
-  EXPECT_TRUE(inj.on_link(3, 2).dropped);  // normalized (min, max) key
-  EXPECT_FALSE(inj.on_link(0, 1).dropped);
-  EXPECT_FALSE(inj.on_link(3, 4).dropped);
 }
 
 TEST(FaultInjector, OnPathStopsAtFirstDrop) {

@@ -325,7 +325,9 @@ TEST(InterFail, LeaveOfADirectoryKeyCopiesTheId) {
   EXPECT_TRUE(f.net->verify_rings(&err)) << err;
   EXPECT_FALSE(f.net->route(5, victim).delivered);
   for (const NodeId& id : ids) {
-    if (id != victim) EXPECT_TRUE(f.net->route(5, id).delivered);
+    if (id != victim) {
+      EXPECT_TRUE(f.net->route(5, id).delivered);
+    }
   }
 }
 

@@ -834,20 +834,16 @@ TEST(IntraGolden, LossDupAndLinkFlap) {
 
 /// Every simulator send path under loss, duplication, corruption and jitter
 /// at once: control retries and CRC rejections, the one-shot stale-pointer
-/// teardown, greedy and ephemeral data hops, repair across a link flap, and
-/// shard-crossing counts.
+/// teardown, greedy and ephemeral data hops, and repair across a link flap.
 /// Besides the outcomes it folds every registry counter by name (msgs.* and
 /// bytes.* per category, faults.*, rofl.codec_rejected,
-/// rofl.encode_failures, shards.*) and the flight recorder's hop digest,
-/// whose fault-drop timestamps carry control-path latencies.
+/// rofl.encode_failures) and the flight recorder's hop digest, whose
+/// fault-drop timestamps carry control-path latencies.
 void fold_corrupt_jitter_run(GoldenDigest& d) {
   Config cfg;
   cfg.cache_capacity = 24;
   TestNet t(60, 6, cfg, 2718);
   Network& net = *t.net;
-  std::vector<std::uint32_t> shards(net.router_count());
-  for (std::size_t r = 0; r < shards.size(); ++r) shards[r] = r % 3;
-  net.set_shard_map(std::move(shards));
   obs::FlightRecorder recorder(1 << 16);
   net.set_flight_recorder(&recorder);
   sim::FaultPlan plan;
@@ -919,10 +915,11 @@ void fold_corrupt_jitter_run(GoldenDigest& d) {
 TEST(IntraGolden, LossDupCorruptionJitterAndByteCounters) {
   GoldenDigest d;
   fold_corrupt_jitter_run(d);
-  // Produced by this body on the tree that still registered six label
-  // counters, with those names skipped in the fold: removing them moved no
-  // other counter, outcome or hop.
-  EXPECT_EQ(d.value(), 0x13a617adb0f9220bull);
+  // Produced on the tree that still had the intra shard-crossing counters,
+  // by this body with its three lines that installed a shard map deleted:
+  // the two shards.* counters they registered left the fold, and no other
+  // counter, outcome or hop moved.
+  EXPECT_EQ(d.value(), 0xbf4e6ee1af8d4e47ull);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "audit/shard_audit.hpp"
 #include "interdomain/shard_model.hpp"
+#include "sim/profiler.hpp"
 #include "util/spsc_queue.hpp"
 
 namespace rofl {
@@ -193,6 +194,43 @@ TEST(ShardScaleModel, ShardCountInvarianceAndCleanAudit) {
     EXPECT_EQ(s.flight, one.flight) << "shards=" << shards;
     EXPECT_EQ(s.audit, one.audit) << "shards=" << shards;
     EXPECT_EQ(s.events, one.events) << "shards=" << shards;
+  }
+}
+
+// The engine self-profile reads the wall clock around every handler and
+// never feeds it back (DESIGN.md section 14): a profiled run must produce the
+// unprofiled run's merged metrics and flight digest bit for bit, and the
+// per-shard event counts must account for every dispatched event.
+TEST(ShardScaleModel, ProfiledRunMatchesUnprofiledAndCountsEveryEvent) {
+  for (const std::uint32_t shards : {1u, 2u}) {
+    inter::ShardScaleModel plain(small_params(shards));
+    (void)plain.run();
+    EXPECT_EQ(plain.profiler(), nullptr);
+
+    inter::ScaleParams p = small_params(shards);
+    p.profile = true;
+    inter::ShardScaleModel profiled(p);
+    const auto stats = profiled.run();
+    EXPECT_EQ(profiled.merged_metrics().to_json(2),
+              plain.merged_metrics().to_json(2))
+        << "shards=" << shards;
+    EXPECT_EQ(profiled.flight_digest(), plain.flight_digest())
+        << "shards=" << shards;
+
+    ASSERT_NE(profiled.profiler(), nullptr);
+    const auto& profiles = profiled.profiler()->shards();
+    ASSERT_EQ(profiles.size(), shards);
+    std::uint64_t events = 0;
+    for (const sim::EngineProfiler::ShardProfile& sp : profiles) {
+      std::uint64_t by_kind = 0;
+      for (const sim::EngineProfiler::KindStats& k : sp.kinds) {
+        by_kind += k.events;
+      }
+      EXPECT_EQ(by_kind, sp.events) << "shards=" << shards;
+      events += sp.events;
+    }
+    EXPECT_GT(stats.processed, 1'000u);
+    EXPECT_EQ(events, stats.processed) << "shards=" << shards;
   }
 }
 

@@ -243,19 +243,5 @@ TEST(EngineProfiler, AttributesBusyTimePerKindAndExportsJson) {
   EXPECT_NE(json.find("\"spsc_hwm\""), std::string::npos);
 }
 
-TEST(EngineProfiler, SimulatorHookRecordsDispatches) {
-  sim::Simulator sim;
-  sim::EngineProfiler prof(1);
-  sim.set_profiler(&prof);
-  int ran = 0;
-  sim.schedule_at(1.0, [&ran] { ++ran; });
-  sim.schedule_at(2.0, [&ran] { ++ran; });
-  sim.run();
-
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(prof.shard(0).events, 2u);
-  EXPECT_GE(prof.shard(0).busy_s, 0.0);
-}
-
 }  // namespace
 }  // namespace rofl::obs

@@ -10,7 +10,8 @@
 //   roflsim partition [--isp NAME] [--ids-per-pop N] [--seed S]
 //
 // Observability flags (intra / inter / partition / faults; audit, shard and
-// net take --timeline and --timeline-window, shard and net also --metrics):
+// net take --timeline and --timeline-window, shard and net also --metrics;
+// net --spawn takes none of them):
 //   --trace FILE      write a Chrome trace-event timeline (open in
 //                     https://ui.perfetto.dev or chrome://tracing); with
 //                     --timeline also carries "ph":"C" counter tracks
@@ -863,12 +864,26 @@ int cmd_net(const Args& a, const char* argv0) {
   const net::MeshConfig cfg = mesh_config_from_args(a);
   const bool loopback = cfg.backend == net::MeshBackend::kLoopback;
 
-  // The lookup and leave phases are driven in-process (the driver must touch
-  // router state between phases); spawn mode runs the join storm only.
-  if ((a.flag("spawn") || a.kv.contains("worker")) &&
-      (cfg.lookups > 0 || cfg.leave_router >= 0)) {
-    std::cerr << "--lookups/--leave are not supported with --spawn\n";
-    return 2;
+  // Spawn mode runs the join storm only, one process per router over UDP,
+  // and reports one ring audit line.  The lookup and leave phases need
+  // in-process access to router state between phases, no worker's registry
+  // or timeline reaches the spawning process, and the loopback backend is
+  // one process on one virtual clock: those flags would be ignored, so they
+  // are refused.
+  if (a.flag("spawn") || a.kv.contains("worker")) {
+    for (const char* flag : {"lookups", "leave", "metrics", "metrics-json",
+                             "timeline", "timeline-window"}) {
+      if (a.flag(flag)) {
+        std::cerr << "--" << flag << " is not supported with --spawn\n\n";
+        usage();
+        return 2;
+      }
+    }
+    if (loopback) {
+      std::cerr << "--backend loopback is not supported with --spawn\n\n";
+      usage();
+      return 2;
+    }
   }
 
   // Spawn-mode worker: the driver re-invoked this binary.  Run the storm and
@@ -1262,6 +1277,9 @@ void usage() {
       "fingers and no impairment the run enforces the section 6.3 parity\n"
       "gate: every JoinRequest costs exactly 1638 bytes on the wire.\n"
       "--fingers is capped so that every JoinRequest fits one datagram.\n"
+      "--spawn runs the UDP join storm alone and refuses --lookups, --leave,\n"
+      "--metrics, --metrics-json, --timeline, --timeline-window and\n"
+      "--backend loopback.\n"
       "`shard` runs the per-AS scale model on the sharded parallel simulator;\n"
       "its metrics, flight digest, audit digest, and --timeline file are\n"
       "bit-identical for every --shards value of the same seed (--profile\n"
