@@ -65,7 +65,8 @@ int main() {
   for (const std::size_t cap : cache_sizes) {
     std::vector<Table::Cell> row{static_cast<std::int64_t>(cap)};
     for (const auto which : graph::all_rocketfuel_ases()) {
-      row.push_back(measure_stretch(which, cap, ids, packets));
+      row.emplace_back(std::in_place_type<double>,
+                       measure_stretch(which, cap, ids, packets));
     }
     t.add_row(std::move(row));
   }

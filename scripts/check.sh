@@ -28,10 +28,12 @@ ctest --test-dir .bench_build --output-on-failure
 
 # Datapath bench smoke: short run, but long enough for stable ns/op, and it
 # exercises the JSON trajectory plumbing end to end.  The pointer cache's
-# hit and evict-on-insert costs are among the figures the docs quote.
+# hit and evict-on-insert costs and the serial all-routers SPF are among
+# the figures the docs quote.
 python3 scripts/bench_trajectory.py run --min-time 0.05
 grep -q '"BM_PointerCacheInsertEvict/1024"' BENCH_datapath.json
 grep -q '"BM_PointerCacheBestMatch/1024"' BENCH_datapath.json
+grep -q '"BM_AllRoutersSpf/0"' BENCH_datapath.json
 
 # End-to-end smoke gates (codec size pins, same-seed determinism of every
 # simulator mode, trace/timeline renderers, live mesh on every backend); the

@@ -1,8 +1,10 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <queue>
+#include <utility>
 
 namespace rofl::graph {
 
@@ -18,6 +20,12 @@ bool Graph::add_edge(NodeIndex u, NodeIndex v, double latency_ms,
   if (u == v || has_edge(u, v)) return false;
   adj_[u].push_back(Edge{v, latency_ms, weight, true});
   adj_[v].push_back(Edge{u, latency_ms, weight, true});
+  // Stays 0 once two weights differ: only the first edge sets it.
+  if (edge_count_ == 0) {
+    uniform_weight_ = weight;
+  } else if (weight != uniform_weight_) {
+    uniform_weight_ = 0.0;
+  }
   ++edge_count_;
   return true;
 }
@@ -56,36 +64,80 @@ bool Graph::link_up(NodeIndex u, NodeIndex v) const {
 
 ShortestPaths Graph::dijkstra(NodeIndex src) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = adj_.size();
   ShortestPaths sp;
-  sp.dist.assign(adj_.size(), kInf);
-  sp.latency_ms.assign(adj_.size(), kInf);
-  sp.parent.assign(adj_.size(), kInvalidNode);
-  sp.hops.assign(adj_.size(), 0);
-  sp.first_hop.assign(adj_.size(), kInvalidNode);
+  sp.dist.assign(n, kInf);
+  sp.latency_ms.assign(n, kInf);
+  sp.parent.assign(n, kInvalidNode);
+  sp.hops.assign(n, 0);
+  sp.first_hop.assign(n, kInvalidNode);
   if (!node_up_[src]) return sp;
-
-  using Item = std::pair<double, NodeIndex>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   sp.dist[src] = 0.0;
   sp.latency_ms[src] = 0.0;
   sp.first_hop[src] = src;
+
+  // Relaxes `e` out of `u`, settled at distance `d`; true if it improved
+  // the far end.  Both passes below run exactly this update.
+  const auto relax = [&](NodeIndex u, double d, const Edge& e) {
+    if (!e.up || !node_up_[e.to]) return false;
+    const double nd = d + e.weight;
+    if (!(nd < sp.dist[e.to])) return false;
+    sp.dist[e.to] = nd;
+    sp.latency_ms[e.to] = sp.latency_ms[u] + e.latency_ms;
+    sp.parent[e.to] = u;
+    sp.hops[e.to] = sp.hops[u] + 1;
+    // A settled node's first hop is final, so the child inherits it.
+    sp.first_hop[e.to] = u == src ? e.to : sp.first_hop[u];
+    return true;
+  };
+
+  if (uniform_weight_ > 0.0) {
+    // One positive weight: every node of BFS level k holds the same
+    // distance bits (the same chain of k additions), strictly above level
+    // k-1's, so the heap below would pop whole levels in turn, each in
+    // ascending index, and only a node's first discovery passes the `<`
+    // test.  Settling each level from a bitmap in ascending index is that
+    // order without the heap.  [lo, hi] bound the words holding set bits.
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::uint64_t> level(words, 0);
+    std::vector<std::uint64_t> next(words, 0);
+    level[src / 64] = std::uint64_t{1} << (src % 64);
+    std::size_t lo = src / 64;
+    std::size_t hi = lo;
+    while (lo <= hi) {
+      std::size_t next_lo = words;
+      std::size_t next_hi = 0;
+      for (std::size_t w = lo; w <= hi; ++w) {
+        for (std::uint64_t bits = std::exchange(level[w], 0); bits != 0;
+             bits &= bits - 1) {
+          const auto u =
+              static_cast<NodeIndex>(w * 64 + std::countr_zero(bits));
+          const double d = sp.dist[u];
+          for (const Edge& e : adj_[u]) {
+            if (!relax(u, d, e)) continue;
+            const std::size_t to = e.to / 64;
+            next[to] |= std::uint64_t{1} << (e.to % 64);
+            next_lo = std::min(next_lo, to);
+            next_hi = std::max(next_hi, to);
+          }
+        }
+      }
+      level.swap(next);
+      lo = next_lo;
+      hi = next_hi;
+    }
+    return sp;
+  }
+
+  using Item = std::pair<double, NodeIndex>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   pq.emplace(0.0, src);
   while (!pq.empty()) {
     const auto [d, u] = pq.top();
     pq.pop();
     if (d > sp.dist[u]) continue;
     for (const Edge& e : adj_[u]) {
-      if (!e.up || !node_up_[e.to]) continue;
-      const double nd = d + e.weight;
-      if (nd < sp.dist[e.to]) {
-        sp.dist[e.to] = nd;
-        sp.latency_ms[e.to] = sp.latency_ms[u] + e.latency_ms;
-        sp.parent[e.to] = u;
-        sp.hops[e.to] = sp.hops[u] + 1;
-        // A settled node's first hop is final, so the child inherits it.
-        sp.first_hop[e.to] = u == src ? e.to : sp.first_hop[u];
-        pq.emplace(nd, e.to);
-      }
+      if (relax(u, d, e)) pq.emplace(sp.dist[e.to], e.to);
     }
   }
   return sp;

@@ -50,6 +50,10 @@ class Graph {
   bool add_edge(NodeIndex u, NodeIndex v, double latency_ms = 1.0,
                 double weight = 1.0);
 
+  /// The IGP weight every edge carries, or 0 when there is no edge or two
+  /// edges differ.  A positive value selects dijkstra's level-ordered pass.
+  [[nodiscard]] double uniform_weight() const { return uniform_weight_; }
+
   [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
 
@@ -68,6 +72,14 @@ class Graph {
   [[nodiscard]] bool node_up(NodeIndex u) const { return node_up_[u]; }
 
   // -- path queries (respect up/down state) --------------------------------
+  /// Shortest paths from `src` by IGP weight.  Ties settle in ascending node
+  /// index, and a node keeps the first parent that reaches it.  When every
+  /// edge carries one positive weight (uniform_weight() > 0) the nodes are
+  /// settled level by level, each level in ascending index; otherwise a
+  /// lazy binary heap ordered by (distance, index) settles them.  Both
+  /// passes settle a uniform-weight graph in the same order and fill all
+  /// five arrays with the same bits.  A pure function of the graph: pool
+  /// workers may run it concurrently.
   [[nodiscard]] ShortestPaths dijkstra(NodeIndex src) const;
   /// Path src..dst along the shortest-path tree; empty if unreachable.
   [[nodiscard]] static std::vector<NodeIndex> extract_path(
@@ -90,6 +102,7 @@ class Graph {
   std::vector<std::vector<Edge>> adj_;
   std::vector<bool> node_up_;
   std::size_t edge_count_ = 0;
+  double uniform_weight_ = 0.0;
 };
 
 }  // namespace rofl::graph

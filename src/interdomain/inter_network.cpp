@@ -271,7 +271,8 @@ std::optional<AsRoute> InterNetwork::route_to_target(AsIndex from,
       anchor != home) {
     const AsIndex via = *hv->second.via_provider;
     if (work_.as_up(via) && work_.link_up(home, via)) {
-      auto head = build_route(work_, from, anchor, via);
+      auto head = build_route(work_, from, anchor, via, /*use_backup=*/false,
+                              &climbs_);
       if (head.has_value()) {
         head->push_back(home);
         return head;
@@ -280,7 +281,8 @@ std::optional<AsRoute> InterNetwork::route_to_target(AsIndex from,
     // The preferred access branch is down: fall back to any live descent
     // (the ID re-anchors over surviving providers, section 2.3).
   }
-  return build_route(work_, from, anchor, home);
+  return build_route(work_, from, anchor, home, /*use_backup=*/false,
+                     &climbs_);
 }
 
 void InterNetwork::index_vnode(const InterVNode& vn) {
@@ -319,7 +321,8 @@ std::uint64_t InterNetwork::simulate_lookup(AsIndex from, const NodeId& target,
   if (!pred.has_value()) {
     // Empty ring at this level: the join registers with the anchor via the
     // provider chain (bootstrap registration, section 4.1 "Joining").
-    const auto up = build_route(work_, from, anchor, anchor);
+    const auto up = build_route(work_, from, anchor, anchor,
+                                /*use_backup=*/false, &climbs_);
     return up.has_value() ? physical_hops(work_, *up) : 0;
   }
   const AsIndex pred_home = pred->second;
@@ -343,7 +346,8 @@ std::uint64_t InterNetwork::simulate_lookup(AsIndex from, const NodeId& target,
       // No local progress: fall back to the bootstrap path -- climb to the
       // anchor and descend to a registered member (the anchor keeps a short
       // list of identifiers in its subtree for exactly this purpose).
-      const auto boot = build_route(work_, cur, anchor, pred_home);
+      const auto boot = build_route(work_, cur, anchor, pred_home,
+                                    /*use_backup=*/false, &climbs_);
       if (!boot.has_value()) return msgs;
       msgs += physical_hops(work_, *boot);
       return msgs;
@@ -822,7 +826,8 @@ InterRouteStats InterNetwork::route(AsIndex src_as, const NodeId& dest,
           }
           // Climb to the ancestor, cross the peering link, and search only
           // the peer's down-hierarchy.
-          const auto climb = build_route(work_, src_as, a, a);
+          const auto climb = build_route(work_, src_as, a, a,
+                                         /*use_backup=*/false, &climbs_);
           if (!climb.has_value() || !route_live(work_, *climb)) continue;
           const std::uint32_t climb_hops = physical_hops(work_, *climb) + 1;
           stats.as_hops += climb_hops;
@@ -1122,6 +1127,7 @@ InterRepairStats InterNetwork::fail_as(AsIndex as) {
   base_copy_.set_as_up(as, false);
   work_.set_as_up(as, false);
   masks_valid_ = false;
+  climbs_.clear();
 
   // IDs hosted at the failed AS disappear from every ring they joined.
   std::vector<NodeId> dead;
@@ -1202,6 +1208,7 @@ InterRepairStats InterNetwork::fail_as_with_virtual_servers(
   base_copy_.set_as_up(customer, false);
   work_.set_as_up(customer, false);
   masks_valid_ = false;
+  climbs_.clear();
   // The customer's own anchor (its internal ring) is down; re-derive
   // pointers.  Because every migrated ID keeps its higher-level
   // registrations, remote state barely changes.
@@ -1220,6 +1227,7 @@ InterRepairStats InterNetwork::restore_as(AsIndex as) {
   base_copy_.set_as_up(as, true);
   work_.set_as_up(as, true);
   masks_valid_ = false;
+  climbs_.clear();
 
   // Virtual-server return: migrate the IDs back from the provider; their
   // ring registrations never churned, so this is a re-point, not a rejoin.
@@ -1280,6 +1288,7 @@ InterRepairStats InterNetwork::fail_link(AsIndex a, AsIndex b) {
   base_copy_.set_link_up(a, b, false);
   work_.set_link_up(a, b, false);
   masks_valid_ = false;
+  climbs_.clear();
   reanchor_all(stats);
   sim_.counters().add(sim::MsgCategory::kRepair, stats.messages);
   sim_.counters().add_bytes(sim::MsgCategory::kRepair, stats.bytes);
@@ -1291,6 +1300,7 @@ InterRepairStats InterNetwork::restore_link(AsIndex a, AsIndex b) {
   base_copy_.set_link_up(a, b, true);
   work_.set_link_up(a, b, true);
   masks_valid_ = false;
+  climbs_.clear();
   // Zero-ID style reconvergence at each level: registrations and pointers
   // re-derive over the restored graph.
   reanchor_all(stats);

@@ -304,6 +304,9 @@ class InterNetwork {
   // ancestor masks: masks_[anc * stride + des/64] bit
   mutable std::vector<std::uint64_t> ancestor_masks_;
   mutable bool masks_valid_ = false;
+  /// Climbs over work_ for build_route; cleared with masks_valid_ wherever
+  /// work_ changes (only the failure and restore entry points change it).
+  mutable ClimbMemo climbs_;
 };
 
 }  // namespace rofl::inter

@@ -12,9 +12,9 @@ using graph::AsTopology;
 
 /// BFS over live provider links from `from`; returns parent map covering the
 /// reachable up-hierarchy.
-std::unordered_map<AsIndex, AsIndex> climb(const AsTopology& topo,
-                                           AsIndex from, bool use_backup) {
-  std::unordered_map<AsIndex, AsIndex> parent;
+ClimbMemo::Parents climb(const AsTopology& topo, AsIndex from,
+                         bool use_backup) {
+  ClimbMemo::Parents parent;
   parent[from] = graph::kInvalidAs;
   std::deque<AsIndex> frontier{from};
   while (!frontier.empty()) {
@@ -31,9 +31,13 @@ std::unordered_map<AsIndex, AsIndex> climb(const AsTopology& topo,
 }
 
 std::optional<AsRoute> path_up(const AsTopology& topo, AsIndex from,
-                               AsIndex anchor, bool use_backup) {
+                               AsIndex anchor, bool use_backup,
+                               ClimbMemo* memo) {
   if (from == anchor) return AsRoute{from};
-  const auto parent = climb(topo, from, use_backup);
+  ClimbMemo::Parents fresh;
+  if (memo == nullptr) fresh = climb(topo, from, use_backup);
+  const ClimbMemo::Parents& parent =
+      memo != nullptr ? memo->parents(topo, from, use_backup) : fresh;
   const auto it = parent.find(anchor);
   if (it == parent.end()) return std::nullopt;
   AsRoute up;
@@ -46,12 +50,25 @@ std::optional<AsRoute> path_up(const AsTopology& topo, AsIndex from,
 
 }  // namespace
 
+const ClimbMemo::Parents& ClimbMemo::parents(const AsTopology& topo,
+                                             AsIndex from, bool use_backup) {
+  auto& climbs = climbs_[use_backup ? 1 : 0];
+  if (climbs.size() < topo.as_count()) climbs.resize(topo.as_count());
+  if (!climbs[from].has_value()) climbs[from] = climb(topo, from, use_backup);
+  return *climbs[from];
+}
+
+void ClimbMemo::clear() {
+  climbs_[0].clear();
+  climbs_[1].clear();
+}
+
 std::optional<AsRoute> build_route(const AsTopology& topo, AsIndex from,
                                    AsIndex anchor, AsIndex to,
-                                   bool use_backup) {
-  const auto up = path_up(topo, from, anchor, use_backup);
+                                   bool use_backup, ClimbMemo* memo) {
+  const auto up = path_up(topo, from, anchor, use_backup, memo);
   if (!up.has_value()) return std::nullopt;
-  const auto down_up = path_up(topo, to, anchor, use_backup);
+  const auto down_up = path_up(topo, to, anchor, use_backup, memo);
   if (!down_up.has_value()) return std::nullopt;
   AsRoute route = *up;
   // Append the reversed climb of `to`, skipping the shared anchor.

@@ -10,19 +10,40 @@
 #pragma once
 
 #include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "interdomain/inter_types.hpp"
 
 namespace rofl::inter {
 
+/// The climbs build_route runs: for each (AS, backup flag), the parent of
+/// every AS on the BFS tree of the live up-hierarchy above it.  A memo is
+/// valid for one state of the one topology it is used with; its owner
+/// clears it whenever that topology changes.
+class ClimbMemo {
+ public:
+  using Parents = std::unordered_map<AsIndex, AsIndex>;
+
+  /// The climb from `from`, run on first use after each clear().
+  [[nodiscard]] const Parents& parents(const graph::AsTopology& topo,
+                                       AsIndex from, bool use_backup);
+  void clear();
+
+ private:
+  std::vector<std::optional<Parents>> climbs_[2];  // by use_backup
+};
+
 /// Builds the AS route from `from` up to `anchor` and down to `to`,
 /// following live provider links only (plus backup providers when
 /// `use_backup`).  Returns nullopt if either climb fails (anchor not in a
 /// live up-hierarchy).  The route includes both endpoints and the anchor.
+/// With a `memo`, the climbs come from it; the route is the same.
 [[nodiscard]] std::optional<AsRoute> build_route(const graph::AsTopology& topo,
                                                  AsIndex from, AsIndex anchor,
                                                  AsIndex to,
-                                                 bool use_backup = false);
+                                                 bool use_backup = false,
+                                                 ClimbMemo* memo = nullptr);
 
 /// Number of physical AS-level hops of a route: edges between real ASes
 /// count 1; an edge pair through a virtual peering AS counts 1 in total.

@@ -390,6 +390,69 @@ TEST(InterFail, MultihomedSurvivesPrimaryLinkFailure) {
   EXPECT_TRUE(net.route(4, probe.id()).delivered);
 }
 
+TEST(InterFail, EveryTopologyChangeReroutesOverTheNewMap) {
+  // Each failure and restore entry point changes the up-hierarchy that AS
+  // routes climb, and must reroute over the map as it now stands:
+  //        0 ~~~~ 1        (tier-1 peering)
+  //       / \      \ .
+  //      2   3      7      4 buys from 2 and 3; 8 only from 2
+  //     / \ / \ .
+  //    8   4   5
+  //        |
+  //        6
+  AsTopology t = AsTopology::from_links(
+      9, {{2, 0, AsRel::kProvider},
+          {3, 0, AsRel::kProvider},
+          {4, 2, AsRel::kProvider},
+          {4, 3, AsRel::kProvider},
+          {5, 3, AsRel::kProvider},
+          {6, 4, AsRel::kProvider},
+          {7, 1, AsRel::kProvider},
+          {8, 2, AsRel::kProvider},
+          {0, 1, AsRel::kPeer}});
+  for (graph::AsIndex a : {2u, 5u, 6u, 7u, 8u}) t.set_host_count(a, 10);
+  InterNetwork net(&t, {}, 17);
+  std::vector<NodeId> joined;
+  for (graph::AsIndex home : {2u, 5u, 6u, 7u, 8u}) {
+    for (int i = 0; i < 3; ++i) {
+      Identity ident = Identity::generate(net.rng());
+      ASSERT_TRUE(
+          net.join_host(ident, home, JoinStrategy::kRecursiveMultihomed).ok);
+      joined.push_back(ident.id());
+    }
+  }
+  // Every surviving ID is delivered from every AS that hosts IDs, except
+  // those `cut` leaves without a provider.
+  const auto expect_all_delivered = [&](const char* step,
+                                        std::set<graph::AsIndex> cut) {
+    std::string err;
+    EXPECT_TRUE(net.verify_rings(&err)) << step << ": " << err;
+    for (const graph::AsIndex src : {2u, 5u, 6u, 7u, 8u}) {
+      if (cut.contains(src) || !net.base_topology().as_up(src)) continue;
+      for (const NodeId& id : joined) {
+        const auto now = net.home_of(id);
+        if (!now.has_value() || cut.contains(*now)) continue;
+        EXPECT_TRUE(net.route(src, id).delivered)
+            << step << ": from AS " << src << " to " << id << " at AS "
+            << *now;
+      }
+    }
+  };
+  expect_all_delivered("joined", {});
+  (void)net.fail_as(2);
+  expect_all_delivered("fail_as(2)", {8});
+  (void)net.restore_as(2);
+  expect_all_delivered("restore_as(2)", {});
+  (void)net.fail_as_with_virtual_servers(2, 0);
+  expect_all_delivered("fail_as_with_virtual_servers(2, 0)", {8});
+  (void)net.restore_as(2);
+  expect_all_delivered("restore_as(2) after virtual servers", {});
+  (void)net.fail_link(4, 2);
+  expect_all_delivered("fail_link(4, 2)", {});
+  (void)net.restore_link(4, 2);
+  expect_all_delivered("restore_link(4, 2)", {});
+}
+
 TEST(InterFail, LinkRestoreReconverges) {
   Fixture f;
   const auto ids = f.populate(4);

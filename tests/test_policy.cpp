@@ -59,6 +59,56 @@ TEST(Policy, BuildRouteRespectsFailedLinks) {
   EXPECT_TRUE(build_route(t, 5, 0, 7).has_value());
 }
 
+// Every (from, anchor, to) and backup flag: the memo's route equals a fresh
+// build_route on the topology as it stands.
+void expect_memo_matches_fresh(const AsTopology& t, ClimbMemo& memo) {
+  for (graph::AsIndex from = 0; from < t.as_count(); ++from) {
+    for (graph::AsIndex anchor = 0; anchor < t.as_count(); ++anchor) {
+      for (graph::AsIndex to = 0; to < t.as_count(); ++to) {
+        for (const bool backup : {false, true}) {
+          EXPECT_EQ(build_route(t, from, anchor, to, backup, &memo),
+                    build_route(t, from, anchor, to, backup))
+              << from << " -> " << anchor << " -> " << to << " backup "
+              << backup;
+        }
+      }
+    }
+  }
+}
+
+TEST(Policy, ClimbMemoMatchesFreshRoutesAcrossFailures) {
+  // diamond() plus a second provider for 6 and a backup provider for 7.
+  AsTopology t = AsTopology::from_links(
+      8, {{2, 0, AsRel::kProvider},
+          {3, 0, AsRel::kProvider},
+          {4, 1, AsRel::kProvider},
+          {5, 2, AsRel::kProvider},
+          {6, 2, AsRel::kProvider},
+          {6, 3, AsRel::kProvider},
+          {7, 3, AsRel::kProvider},
+          {7, 2, AsRel::kBackupProvider},
+          {0, 1, AsRel::kPeer}});
+  ClimbMemo memo;
+  expect_memo_matches_fresh(t, memo);
+
+  // A memo is valid for one topology state: uncleared, it keeps the climb
+  // over the failed link.
+  t.set_link_up(6, 2, false);
+  EXPECT_EQ(build_route(t, 6, 2, 5, false, &memo), (AsRoute{6, 2, 5}));
+  EXPECT_FALSE(build_route(t, 6, 2, 5).has_value());
+  memo.clear();
+  expect_memo_matches_fresh(t, memo);
+
+  t.set_as_up(3, false);
+  memo.clear();
+  expect_memo_matches_fresh(t, memo);
+
+  t.set_as_up(3, true);
+  t.set_link_up(6, 2, true);
+  memo.clear();
+  expect_memo_matches_fresh(t, memo);
+}
+
 TEST(Policy, RouteLiveTracksTopology) {
   AsTopology t = diamond();
   const AsRoute r{5, 2, 0, 3, 7};
