@@ -106,6 +106,18 @@ cmp <(grep -E 'flight digest|shard audit' build/shard_out1.txt) \
 # flight-recorder hop kind, say) still fails.
 grep -q 'flight digest: 0x3359663f4624b6f4' build/shard_out1.txt
 grep -q '"scale.ops.lookup"' build/shard_run1.json
+# The event queue's other paths (DESIGN.md section 13), pinned with a clean
+# shard audit: with no lookahead every cross-AS hop lands in the bucket being
+# drained, and 0.3 ms is a bucket width with no exact binary value, on three
+# shards.
+build/tools/roflsim shard --shards 1 --lookahead 0 --hosts 20000 --ases 400 \
+  --duration 500 --seed 11 > build/shard_out_la0.txt
+grep -q 'flight digest: 0xda3c732a71019bbb' build/shard_out_la0.txt
+grep -q 'shard audit: checks=[0-9]*;hard=0;' build/shard_out_la0.txt
+build/tools/roflsim shard --shards 3 --lookahead 0.3 --hosts 20000 \
+  --ases 400 --duration 500 --seed 11 > build/shard_out_la03.txt
+grep -q 'flight digest: 0x64b0747f835213f2' build/shard_out_la03.txt
+grep -q 'shard audit: checks=[0-9]*;hard=0;' build/shard_out_la03.txt
 
 # Timeline-determinism smoke: the merged timeline (per-window counter deltas,
 # gauges, histogram percentiles) must also be shard-count independent.  The

@@ -189,7 +189,7 @@ bool ShardScaleModel::slot_live(graph::AsIndex a, std::uint32_t slot) const {
   return state_[a].live[slot] != 0;
 }
 
-const std::map<NodeId, graph::AsIndex>& ShardScaleModel::ring(
+const std::unordered_map<NodeId, graph::AsIndex>& ShardScaleModel::ring(
     graph::AsIndex a) const {
   return state_[a].ring;
 }

@@ -32,8 +32,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/as_topology.hpp"
@@ -120,14 +120,15 @@ class ShardScaleModel {
   }
   /// Home-AS ground truth: is slot `slot` of AS `a` currently joined?
   [[nodiscard]] bool slot_live(graph::AsIndex a, std::uint32_t slot) const;
-  /// The merged ring an anchor holds: label -> home AS.
-  [[nodiscard]] const std::map<NodeId, graph::AsIndex>& ring(
+  /// The merged ring an anchor holds: label -> home AS.  Hashed: the model
+  /// and the audit only insert, erase, find and count labels.
+  [[nodiscard]] const std::unordered_map<NodeId, graph::AsIndex>& ring(
       graph::AsIndex a) const;
 
  private:
   struct alignas(64) AsState {
     std::vector<std::uint8_t> live;            // per-slot join state (truth)
-    std::map<NodeId, graph::AsIndex> ring;     // merged ring at this anchor
+    std::unordered_map<NodeId, graph::AsIndex> ring;  // merged ring here
     double op_accumulator = 0.0;
     std::uint64_t lookup_counter = 0;
   };

@@ -86,9 +86,11 @@ bool ZeroIdProtocol::verify_consistent() const {
   }
   for (graph::NodeIndex r = 0; r < beliefs_.size(); ++r) {
     if (!graph_->node_up(r)) continue;
-    const auto expect = truth.contains(comp[r]) ? truth[comp[r]]
-                                                : std::optional<NodeId>{};
-    if (beliefs_[r].id != expect) return false;
+    // A component with no local id expects no belief.
+    const auto it = truth.find(comp[r]);
+    const bool agrees = it == truth.end() ? !beliefs_[r].id.has_value()
+                                          : beliefs_[r].id == it->second;
+    if (!agrees) return false;
   }
   return true;
 }

@@ -25,7 +25,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 std::uint64_t pack_key(EntityId src, std::uint64_t seq) {
   // Per-source sequences stay well below 2^32 (asserted at send); packing
   // them under the source id makes one u64 whose ordering equals the
-  // lexicographic (src, seq) tie-break EventQueue applies after `when`.
+  // lexicographic (src, seq) tie-break the queue applies after `when`.
   assert(seq < (1ull << 32));
   return (static_cast<std::uint64_t>(src) << 32) | seq;
 }
@@ -119,6 +119,7 @@ void ShardContext::send(EntityId dst, double delay_ms, std::uint32_t kind,
 ShardedSimulator::ShardedSimulator(std::vector<std::uint32_t> map, Config cfg)
     : cfg_(cfg), shard_of_(std::move(map)) {
   assert(cfg_.shards > 0);
+  assert(cfg_.lookahead_ms >= 0.0);
   assert(cfg_.shards == 1 || cfg_.lookahead_ms > 0.0);
   shards_.reserve(cfg_.shards);
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
@@ -174,7 +175,7 @@ void ShardedSimulator::enqueue_local(Shard& sh, const ShardEvent& ev) {
     slot = static_cast<std::uint32_t>(sh.slab.size());
     sh.slab.push_back(ev);
   }
-  sh.queue.push(HeapItem{ev.when, pack_key(ev.src, ev.seq), slot});
+  sh.queue.push(QueueItem{ev.when, pack_key(ev.src, ev.seq), slot});
 }
 
 void ShardedSimulator::seed_event(double when_ms, EntityId dst,
@@ -286,7 +287,7 @@ void ShardedSimulator::shard_loop(std::uint32_t s) {
     // 4. Execute the safe window.
     std::uint64_t batch = 0;
     while (!sh.queue.empty() && sh.queue.top().when < horizon) {
-      const HeapItem item = sh.queue.pop();
+      const QueueItem item = sh.queue.pop();
       if (item.when < sh.now_ms) sh.monotone = false;
       sh.now_ms = item.when;
       const ShardEvent ev = sh.slab[item.slot];

@@ -131,6 +131,7 @@ class ShardedSimulator {
   struct Config {
     std::uint32_t shards = 1;
     /// Minimum cross-entity link latency [ms]; must be > 0 when shards > 1.
+    /// It is also each shard's event-queue bucket width (1 ms when 0).
     double lookahead_ms = 1.0;
     /// Per-channel SPSC capacity (rounded up to a power of two).
     std::size_t channel_capacity = 4096;
@@ -226,17 +227,20 @@ class ShardedSimulator {
  private:
   friend class ShardContext;
 
-  struct HeapItem {
+  struct QueueItem {
     double when;
     std::uint64_t seq;   // (src << 32) | per-src sequence: the tie-break key
     std::uint32_t slot;
   };
 
   struct alignas(64) Shard {
+    /// Buckets one lookahead wide: every cross-entity send lands at least
+    /// one bucket past the one being drained.
     explicit Shard(const Config& cfg)
-        : registry(), recorder(cfg.recorder_capacity) {}
+        : queue(cfg.lookahead_ms), registry(),
+          recorder(cfg.recorder_capacity) {}
 
-    EventQueue<HeapItem> queue;
+    CalendarQueue<QueueItem> queue;
     std::vector<ShardEvent> slab;
     std::vector<std::uint32_t> free_slots;
     obs::Registry registry;

@@ -107,19 +107,23 @@ void Sha256::update(std::string_view data) {
 }
 
 Sha256::Digest Sha256::finish() {
+  // Padding goes straight into the block buffer: 0x80, zeros up to byte 56
+  // of a block, then the message length in bits, big-endian.  With fewer
+  // than 9 bytes left after the message, the length spills into a second
+  // block.
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    compress(buffer_.data());
+    buffered_ = 0;
   }
-  std::array<std::uint8_t, 8> len_bytes{};
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[static_cast<size_t>(i)] =
-        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(len_bytes.data(), 8));
+  compress(buffer_.data());
+  buffered_ = 0;
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -4,7 +4,10 @@
 // reproduce exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "interdomain/inter_network.hpp"
 #include "obs/flight_recorder.hpp"
@@ -123,6 +126,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IntraFuzz,
 
 class InterFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Is `a` up with a live primary-provider path to a tier-1 AS?
+bool attached(const graph::AsTopology& t, graph::AsIndex a) {
+  if (!t.as_up(a)) return false;
+  const auto up = t.up_hierarchy(a).nodes;
+  return std::any_of(up.begin(), up.end(),
+                     [&](graph::AsIndex x) { return t.tier(x) == 1; });
+}
+
+// Is `id` registered at the top of the hierarchy: a tier-1 AS, or the
+// virtual AS standing for the tier-1 clique?  A single-homed join's one
+// provider chain can stop below it, at a provider cut off from the core.
+bool registered_at_top(const inter::InterNetwork& net, const NodeId& id) {
+  const inter::InterVNode* vn = net.find_vnode(id);
+  return vn != nullptr &&
+         std::any_of(vn->anchors.begin(), vn->anchors.end(),
+                     [&](const std::pair<graph::AsIndex, unsigned>& a) {
+                       return net.work_topology().tier(a.first) <= 1;
+                     });
+}
+
+// After a topology change: exact rings, and every identifier registered at
+// the top delivered from every attached AS that hosts identifiers -- over
+// the map as it now stands, not routing state derived before the change.
+void expect_rerouted(inter::InterNetwork& net, std::uint64_t seed, int op,
+                     const std::string& step) {
+  const std::string where =
+      "seed " + std::to_string(seed) + " op " + std::to_string(op) + " " +
+      step;
+  std::string err;
+  EXPECT_TRUE(net.verify_rings(&err)) << where << ": " << err;
+  std::set<graph::AsIndex> sources;
+  std::vector<NodeId> targets;
+  for (const auto& [id, home] : net.directory()) {
+    if (attached(net.base_topology(), home)) sources.insert(home);
+    if (registered_at_top(net, id)) targets.push_back(id);
+  }
+  for (const graph::AsIndex src : sources) {
+    for (const NodeId& id : targets) {
+      EXPECT_TRUE(net.route(src, id).delivered)
+          << where << ": from AS " << src << " to " << id << " at AS "
+          << *net.home_of(id);
+    }
+  }
+}
+
 TEST_P(InterFuzz, InvariantsHoldUnderRandomOperations) {
   const std::uint64_t seed = GetParam();
   Rng trng(seed + 1000);
@@ -139,45 +187,90 @@ TEST_P(InterFuzz, InvariantsHoldUnderRandomOperations) {
                                      : inter::PeeringMode::kBloom;
   cfg.fingers_per_id = (seed % 3 == 0) ? 24 : 0;
   inter::InterNetwork net(&topo, cfg, seed * 11 + 3);
+  const graph::AsTopology& now = net.base_topology();
 
   Rng op_rng(seed * 13 + 7);
   std::vector<NodeId> live;
   std::set<graph::AsIndex> downed;
+  std::set<std::pair<graph::AsIndex, graph::AsIndex>> downed_links;
+  const auto restore = [&](graph::AsIndex a) {
+    (void)net.restore_as(a);
+    downed.erase(a);
+    return "restore_as(" + std::to_string(a) + ")";
+  };
+  const auto restore_link = [&](graph::AsIndex a, graph::AsIndex b) {
+    (void)net.restore_link(a, b);
+    downed_links.erase({std::min(a, b), std::max(a, b)});
+    return "restore_link(" + std::to_string(a) + ", " + std::to_string(b) +
+           ")";
+  };
 
   const inter::JoinStrategy strategies[] = {
       inter::JoinStrategy::kEphemeral, inter::JoinStrategy::kSingleHomed,
       inter::JoinStrategy::kRecursiveMultihomed,
       inter::JoinStrategy::kPeering};
 
+  // Stub and transit AS failures (tier 2 and below; the tier-1 clique stays
+  // whole), inter-AS link failures, and their restores, each followed by a
+  // check of the map as it now stands.
   const int ops = 90;
   for (int op = 0; op < ops; ++op) {
     const std::uint64_t pick = op_rng.below(100);
-    if (pick < 55 || live.size() < 5) {
+    std::string step;
+    if (pick < 45 || live.size() < 5) {
+      const auto before = net.directory();
       const auto js = net.join_random_host(
           strategies[op_rng.index(4)]);
-      if (js.ok) live.push_back(net.directory().rbegin()->first);
-    } else if (pick < 75 && !live.empty()) {
+      if (js.ok) {
+        for (const auto& [id, home] : net.directory()) {
+          if (!before.contains(id)) live.push_back(id);
+        }
+      }
+    } else if (pick < 60 && !live.empty()) {
       const std::size_t v = op_rng.index(live.size());
       (void)net.leave_host(live[v]);
       live.erase(live.begin() + static_cast<long>(v));
-    } else if (pick < 90) {
-      // stub AS flap
+    } else if (pick < 84) {
+      // AS flap: a stub or transit AS fails or comes back.
       const auto a = static_cast<graph::AsIndex>(
           op_rng.index(topo.as_count()));
       if (downed.contains(a)) {
-        (void)net.restore_as(a);
-        downed.erase(a);
-      } else if (net.base_topology().is_stub(a) &&
-                 net.base_topology().as_up(a)) {
+        step = restore(a);
+      } else if (now.tier(a) != 1 && now.as_up(a)) {
         (void)net.fail_as(a);
         downed.insert(a);
+        step = "fail_as(" + std::to_string(a) + ")";
+      }
+    } else if (pick < 94) {
+      // Link flap on a random adjacency outside the tier-1 clique.
+      const auto a = static_cast<graph::AsIndex>(
+          op_rng.index(topo.as_count()));
+      const auto& adj = topo.adjacencies(a);
+      if (!adj.empty()) {
+        const graph::AsIndex b = adj[op_rng.index(adj.size())].neighbor;
+        const std::pair<graph::AsIndex, graph::AsIndex> key{std::min(a, b),
+                                                            std::max(a, b)};
+        if (downed_links.contains(key)) {
+          step = restore_link(a, b);
+        } else if (now.tier(a) != 1 || now.tier(b) != 1) {
+          (void)net.fail_link(a, b);
+          downed_links.insert(key);
+          step = "fail_link(" + std::to_string(a) + ", " +
+                 std::to_string(b) + ")";
+        }
       }
     } else if (!downed.empty()) {
-      const auto a = *downed.begin();
-      (void)net.restore_as(a);
-      downed.erase(a);
+      step = restore(*downed.begin());
+    } else if (!downed_links.empty()) {
+      const auto [a, b] = *downed_links.begin();
+      step = restore_link(a, b);
+    }
+    if (!step.empty()) {
+      expect_rerouted(net, seed, op, step);
+      if (::testing::Test::HasFailure()) return;
     }
   }
+  for (const auto& [a, b] : downed_links) (void)net.restore_link(a, b);
   for (const auto a : downed) (void)net.restore_as(a);
 
   std::string err;

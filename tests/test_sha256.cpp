@@ -71,6 +71,26 @@ TEST(Sha256, ExactBlockLengths) {
   }
 }
 
+// Known answers at the padding edges: 55 bytes pad within one block, 56 and
+// 63 spill the length into a second, 64 and 65 pad a fresh block.  Digests
+// of 'q' repeated, from Python's hashlib.sha256.
+TEST(Sha256, PaddingEdgeKnownAnswers) {
+  const struct {
+    std::size_t len;
+    const char* hex;
+  } kCases[] = {
+      {55, "85528b5baff5639cb8e7daca79d085ac29ac0978e873ed7527158616b2b6c379"},
+      {56, "f8ce2f8d6990c639668fe404262f35ed72d8bb145ad6bae786af7284447386df"},
+      {63, "9b49777003a4143d8c3f4d3002eb631c6bda8b030a3ccc87f8a21d5f61c89e87"},
+      {64, "ee8e658590c9a5e119400a774415a01db104de1ee6e2c29ec69aa73ef46544d2"},
+      {65, "2b6c3f7f12b1b12fc5409626dc4e5302d8d37082cbeddea7755eac43aba039c8"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(Sha256::to_hex(Sha256::hash(std::string(c.len, 'q'))), c.hex)
+        << "len=" << c.len;
+  }
+}
+
 TEST(Sha256, DistinctInputsDistinctDigests) {
   EXPECT_NE(Sha256::hash("a"), Sha256::hash("b"));
   EXPECT_NE(Sha256::hash("a"), Sha256::hash("aa"));
