@@ -172,6 +172,15 @@ cmp build/net_ll_run1.json build/net_ll_run2.json
 grep -q '"net.lookups.hit"' build/net_ll_run1.json
 grep -q '"net.leave.relinks"' build/net_ll_run1.json
 
+# Closed-loop UDP lookups: two routers keep their probes in flight back to
+# back for a few hundred ms, the sustained busy loop in which a router's step
+# waits on its own socket between passes (DESIGN.md section 16).  Every probe
+# must hit and the ring audit stay exact.
+timeout 60 build/tools/roflsim net --routers 2 --hosts 1000 --fingers 8 \
+  --lookups 20000 --seed 11 > build/net_closed_loop.txt
+grep -q 'lookups hit/served  *20000/20000' build/net_closed_loop.txt
+grep -q 'audit  *clean' build/net_closed_loop.txt
+
 # Lossy loopback exactness: the 64-router storm under 10 % loss and 20 ms
 # jitter must end with an exact ring on every seed (no id spliced twice
 # after a stale redirect or a JoinRequest's retries; DESIGN.md section 15).

@@ -18,6 +18,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -77,6 +78,10 @@ class LoopbackTransport final : public Transport {
  private:
   void raw_send(RouterId dst, std::vector<std::uint8_t> datagram) override {
     hub_->deliver(dst, std::move(datagram));
+  }
+
+  std::optional<double> wait_readable(double /*deadline_ms*/) override {
+    return std::nullopt;  // virtual time: nothing arrives while blocked
   }
 
   double throttle_wait(double now_ms, double wait_ms) override {

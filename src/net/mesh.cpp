@@ -145,11 +145,28 @@ bool step_virtual(const std::vector<LiveRouter*>& routers, double& now,
   return false;
 }
 
+/// Longest an idle UDP router waits on its socket before it steps again.
+/// A busy router's step waits on the socket itself (LiveRouter::kSliceMs).
+constexpr double kIdleWaitMs = 0.5;
+
+/// Steps a UDP router once, then, if it is idle, waits on its socket so a
+/// peer's frame is answered as soon as it lands.  Returns the router's
+/// quiescence as of the step.
+bool step_udp(LiveRouter& router) {
+  router.step(UdpTransport::wall_ms());
+  const bool idle = router.quiescent();
+  if (idle) {
+    router.transport().wait(UdpTransport::wall_ms() + kIdleWaitMs);
+  }
+  return idle;
+}
+
 /// UDP phase: one event-loop thread per router on the wall clock, started
 /// fresh for each phase.  Between phases no router thread runs, so the driver
 /// can enqueue lookups or start the departure without racing router
 /// internals (which stay single-threaded); while threads are live it reads
-/// only the per-router quiet flags.
+/// only the per-router quiet flags, every millisecond, so a phase's elapsed
+/// time is measured to the millisecond.
 bool step_threads(const std::vector<LiveRouter*>& routers, double budget_ms) {
   std::atomic<bool> stop{false};
   std::vector<std::atomic<bool>> quiet(routers.size());
@@ -157,12 +174,8 @@ bool step_threads(const std::vector<LiveRouter*>& routers, double budget_ms) {
   threads.reserve(routers.size());
   for (std::size_t r = 0; r < routers.size(); ++r) {
     threads.emplace_back([&, r] {
-      LiveRouter& router = *routers[r];
       while (!stop.load(std::memory_order_acquire)) {
-        router.step(UdpTransport::wall_ms());
-        quiet[r].store(router.quiescent(), std::memory_order_release);
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            router.quiescent() ? 500 : 50));
+        quiet[r].store(step_udp(*routers[r]), std::memory_order_release);
       }
     });
   }
@@ -173,7 +186,7 @@ bool step_threads(const std::vector<LiveRouter*>& routers, double budget_ms) {
       return q.load(std::memory_order_acquire);
     });
     if (converged) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
@@ -374,9 +387,11 @@ int run_mesh_worker(const MeshConfig& cfg, RouterId self) {
   double next_signal_ms = 0.0;
   const double start = UdpTransport::wall_ms();
   while (true) {
+    if (UdpTransport::wall_ms() - start > cfg.deadline_ms + 10'000.0) {
+      return 3;  // orphaned
+    }
+    step_udp(router);
     const double now = UdpTransport::wall_ms();
-    if (now - start > cfg.deadline_ms + 10'000.0) return 3;  // orphaned
-    router.step(now);
 
     RxFrame h;
     while (router.poll_harness(h)) {
@@ -413,8 +428,6 @@ int run_mesh_worker(const MeshConfig& cfg, RouterId self) {
                        {}, now);
       }
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        router.quiescent() ? 500 : 50));
   }
 }
 

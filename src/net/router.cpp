@@ -55,13 +55,24 @@ void LiveRouter::sample_transport_stats() {
 }
 
 void LiveRouter::step(double now_ms) {
+  const double slice_end = now_ms + kSliceMs;
+  RxFrame rx;  // the step's passes share one receive buffer
+  for (;;) {
+    pass(now_ms, rx);
+    if (core_->quiescent() || now_ms >= slice_end) return;
+    const std::optional<double> woke = transport_->wait(slice_end);
+    if (!woke.has_value()) return;
+    now_ms = *woke;
+  }
+}
+
+void LiveRouter::pass(double now_ms, RxFrame& rx) {
   // Sample before the timeline advances so each window sees the pump
   // counters as of its own close, not the end of the run.
   sample_transport_stats();
   if (timeline_ != nullptr) timeline_->advance_to(now_ms);
   transport_->pump(now_ms);
 
-  RxFrame rx;
   while (transport_->poll(rx)) {
     if (rx.op != PumpOp::kData) {
       harness_rx_.push_back(std::move(rx));

@@ -20,9 +20,15 @@
 //   * forward the core's retry telemetry to the fault injector so fault
 //     accounting matches the simulator's.
 //
-// Threading is unchanged: a LiveRouter is single-threaded -- all calls from
-// one driver thread, with step(now_ms) doing one pump/drain/tick pass.
-// DESIGN.md section 16 documents the layering.
+// A LiveRouter is single-threaded: all calls come from one driver thread.
+// step(now_ms) runs pump/drain/tick passes.  While the core has work in
+// flight and the transport can block, it waits on the transport between
+// passes -- until a frame lands, a delayed send comes due, or the slice
+// ends -- so a reply is handled as soon as it arrives, for at most one
+// kSliceMs slice.  A quiescent core, or a transport that cannot block
+// (loopback), gets one pass per step.  Retry deadlines need no hook from the
+// core: each pass calls Core::tick, and a slice is far shorter than the
+// shortest retry timeout.  DESIGN.md section 16 documents the layering.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +80,15 @@ class LiveRouter final : private proto::Env {
   /// after the mesh has converged.
   void begin_leave(double now_ms) { core_->begin_leave(now_ms); }
 
-  /// One event-loop pass: flush delayed sends, drain received frames, feed
-  /// the core's tick (queued work + retry timers), sample transport stats.
+  /// Longest a step keeps a busy router's thread: about 2 ms, so a retry
+  /// fires at most that late against CoreConfig::retry's 40 ms minimum.
+  static constexpr double kSliceMs = 2.0;
+
+  /// Event-loop passes: flush delayed sends, drain received frames, feed the
+  /// core's tick (queued work + retry timers), sample transport stats.  One
+  /// pass when the core is quiescent or the transport cannot block;
+  /// otherwise passes on the clock Transport::wait wakes at, until the core
+  /// is quiescent or kSliceMs has passed since `now_ms`.
   void step(double now_ms);
 
   /// True when no queued or in-flight protocol work remains.
@@ -125,6 +138,9 @@ class LiveRouter final : private proto::Env {
 
   /// Copies the transport pump's counters into the registry (live view).
   void sample_transport_stats();
+
+  /// One pump/drain/tick pass at `now_ms`, receiving into `rx`.
+  void pass(double now_ms, RxFrame& rx);
 
   LiveRouterConfig cfg_;
   Transport* transport_;

@@ -3,14 +3,18 @@
 // PR 5 made every control exchange a CRC-framed wire::Packet; this module
 // supplies the last simulated component: how those frames move between
 // routers.  A Transport sends and receives whole frames addressed by router
-// id.  Two backends exist:
+// id, and can block its caller until there is something to do: wait()
+// returns when a datagram is readable, a jitter-delayed send comes due, or a
+// deadline passes.  Two backends exist:
 //
 //   * LoopbackTransport (loopback.hpp) -- in-process delivery through a
 //     shared hub, the in-sim backend: single-threaded, deterministic, used by
-//     tests and the byte-accounting parity runs.
+//     tests and the byte-accounting parity runs.  It cannot block: its clock
+//     is virtual, and nothing arrives until its driver steps another router.
 //   * UdpTransport (udp.hpp) -- one real UDP socket per router on localhost,
-//     sent to and drained from the router's own event-loop thread, with a
-//     bounded token-bucket send rate.
+//     sent to and drained from the router's own event-loop thread, which
+//     waits on that socket between passes, with a bounded token-bucket send
+//     rate.
 //
 // Every datagram carries a 21-byte pump header ahead of the wire frame:
 //
@@ -298,6 +302,18 @@ class Transport {
   /// Next received frame, deduplicated; false when none pending.
   virtual bool poll(RxFrame& out) = 0;
 
+  /// Blocks until a datagram is readable, the earliest jitter-delayed send
+  /// is due, or `deadline_ms` passes, and returns the clock it woke at: the
+  /// `now_ms` for the caller's next pump() and poll() pass.  Returns nullopt
+  /// at once where the backend cannot block: loopback, whose virtual clock
+  /// moves only when its driver moves it, and a stopped UDP transport.
+  std::optional<double> wait(double deadline_ms) {
+    if (!delayed_.empty()) {
+      deadline_ms = std::min(deadline_ms, delayed_.top().due_ms);
+    }
+    return wait_readable(deadline_ms);
+  }
+
   /// Datagrams dropped because the receive queue was full.  Only the UDP
   /// backend's kernel queue is bounded; loopback always reads 0.
   [[nodiscard]] std::uint64_t ring_dropped() const {
@@ -322,6 +338,10 @@ class Transport {
 
   /// Backend IO: ship one datagram.
   virtual void raw_send(RouterId dst, std::vector<std::uint8_t> datagram) = 0;
+
+  /// Backend half of wait(): blocks until a datagram is readable or
+  /// `deadline_ms` passes on the backend's clock; nullopt if it cannot block.
+  virtual std::optional<double> wait_readable(double deadline_ms) = 0;
 
   /// Backend wait policy when the token bucket is empty: the UDP backend
   /// sleeps `wait_ms` of wall time and returns the new clock; the loopback

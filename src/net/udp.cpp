@@ -3,10 +3,13 @@
 #include <arpa/inet.h>
 #include <linux/sock_diag.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
+#include <ctime>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -80,6 +83,24 @@ void UdpTransport::raw_send(RouterId dst, std::vector<std::uint8_t> datagram) {
   // it like any other drop, so no error handling here.
   (void)::sendto(fd_, datagram.data(), datagram.size(), 0,
                  reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+}
+
+std::optional<double> UdpTransport::wait_readable(double deadline_ms) {
+  if (fd_ < 0) return std::nullopt;
+  pollfd pfd{fd_, POLLIN, 0};
+  for (;;) {
+    const double now = wall_ms();
+    if (now >= deadline_ms) return now;
+    // Rounded up, so a timeout never wakes before the deadline; capped, so
+    // the nanosecond count cannot overflow.
+    const auto ns = static_cast<std::int64_t>(
+        std::ceil(std::min(deadline_ms - now, 1000.0) * 1e6));
+    const timespec timeout{static_cast<std::time_t>(ns / 1'000'000'000),
+                           static_cast<long>(ns % 1'000'000'000)};
+    // Anything but a timeout -- a datagram, a socket error, a signal -- ends
+    // the wait; the caller's next pass drains the socket.
+    if (::ppoll(&pfd, 1, &timeout, nullptr) != 0) return wall_ms();
+  }
 }
 
 double UdpTransport::throttle_wait(double /*now_ms*/, double wait_ms) {

@@ -8,6 +8,9 @@
 //   * RX: poll() drains the socket with non-blocking recv() into one reused
 //     buffer, then parses the pump header and dedups -- no second thread, no
 //     queue between the kernel and the protocol.
+//   * Waiting: wait() blocks in ppoll() on the socket, so a router thread
+//     with nothing to do sleeps until a peer's datagram lands, its own
+//     delayed send comes due, or its deadline passes.
 //
 // The socket's receive queue is therefore the only RX buffer.  When a burst
 // overflows it the kernel drops the datagram; to the protocol that is network
@@ -23,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -47,7 +51,8 @@ class UdpTransport final : public Transport {
   bool poll(RxFrame& out) override;
 
   /// Takes a last reading of the kernel's drop count and closes the socket;
-  /// poll() returns false from then on.  Idempotent; the destructor calls it.
+  /// poll() returns false and wait() nullopt from then on.  Idempotent; the
+  /// destructor calls it.
   void stop();
 
   /// Monotonic wall clock in milliseconds, the `now_ms` timebase every
@@ -56,6 +61,7 @@ class UdpTransport final : public Transport {
 
  private:
   void raw_send(RouterId dst, std::vector<std::uint8_t> datagram) override;
+  std::optional<double> wait_readable(double deadline_ms) override;
   double throttle_wait(double now_ms, double wait_ms) override;
   /// Copies the kernel's receive-queue drop count into stats_.ring_dropped.
   void read_drops();

@@ -3,17 +3,19 @@
 // Covers the src/net stack bottom-up: pump header codec, the dedup window,
 // loopback transport delivery, a real-socket UDP transport pair on ephemeral
 // ports (one thread, with receive-queue overflow and oversized datagrams
-// counted), and full mesh runs -- a deterministic loopback storm whose byte
-// accounting must reproduce the simulator's section 6.3 figure (1638 bytes
-// per 256-finger JoinRequest), a two-router UDP mesh converging under heavy
-// impairment, and a negative audit check proving the auditor actually sees
-// defects.
+// counted), the transport's blocking wait and the bounded step a UDP
+// LiveRouter takes over it, and full mesh runs -- a deterministic loopback
+// storm whose byte accounting must reproduce the simulator's section 6.3
+// figure (1638 bytes per 256-finger JoinRequest), a two-router UDP mesh
+// converging under heavy impairment, and a negative audit check proving the
+// auditor actually sees defects.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -281,6 +283,135 @@ TEST(Udp, TransportStartsNoThread) {
     t.stop();
   }
   EXPECT_EQ(process_threads(), before);
+}
+
+TEST(Udp, WaitReturnsSoonAfterAPeerDatagramLands) {
+  UdpTransport a(1, /*port=*/0);
+  UdpTransport b(2, /*port=*/0);
+  a.set_peer(2, b.port());
+  const std::vector<std::uint8_t> payload = {4, 2};
+  double sent_at = 0.0;
+  std::thread peer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sent_at = UdpTransport::wall_ms();
+    a.send(2, PumpOp::kData, 0, payload, sent_at);
+  });
+  const double start = UdpTransport::wall_ms();
+  const std::optional<double> woke = b.wait(start + 5'000.0);
+  peer.join();
+  ASSERT_TRUE(woke.has_value());
+  EXPECT_GE(*woke, sent_at);
+  EXPECT_LT(*woke - sent_at, 1'000.0) << "slept past the datagram";
+  RxFrame rx;
+  ASSERT_TRUE(b.poll(rx));
+  EXPECT_EQ(rx.frame, payload);
+}
+
+TEST(Udp, WaitLastsUntilItsDeadlineWhenNothingIsPending) {
+  UdpTransport t(1, /*port=*/0);
+  const double deadline = UdpTransport::wall_ms() + 30.0;
+  const std::optional<double> woke = t.wait(deadline);
+  ASSERT_TRUE(woke.has_value());
+  EXPECT_GE(*woke, deadline);
+  EXPECT_GE(UdpTransport::wall_ms(), deadline);
+  EXPECT_LT(*woke - deadline, 1'000.0);
+  RxFrame rx;
+  EXPECT_FALSE(t.poll(rx));
+}
+
+TEST(Udp, WaitWakesWhenAJitterDelayedSendIsDue) {
+  UdpTransport a(1, /*port=*/0);
+  UdpTransport b(2, /*port=*/0);
+  a.set_peer(2, b.port());
+  obs::Registry reg;
+  sim::FaultPlan plan;
+  plan.defaults.jitter_ms = 40.0;
+  sim::FaultInjector inj(plan, /*seed=*/7, &reg);
+  a.set_fault_injector(&inj);
+  const std::vector<std::uint8_t> payload = {1, 2, 3};
+  const double start = UdpTransport::wall_ms();
+  a.send(2, PumpOp::kData, 0, payload, start);
+  ASSERT_EQ(a.stats().tx_frames, 0u) << "the send was not delayed";
+
+  // The wait ends by the send's due time, not the far deadline, and no
+  // earlier: the pump at the clock it returns sends the datagram.
+  const std::optional<double> woke = a.wait(start + 5'000.0);
+  ASSERT_TRUE(woke.has_value());
+  EXPECT_LT(*woke - start, 2'500.0);
+  a.pump(*woke);
+  EXPECT_EQ(a.stats().tx_frames, 1u);
+  ASSERT_TRUE(b.wait(UdpTransport::wall_ms() + 5'000.0).has_value());
+  RxFrame rx;
+  ASSERT_TRUE(b.poll(rx));
+  EXPECT_EQ(rx.frame, payload);
+}
+
+TEST(Udp, WaitOnAStoppedTransportReturnsAtOnce) {
+  UdpTransport t(1, /*port=*/0);
+  t.stop();
+  // Each wait would sleep a second if a stopped socket blocked (ppoll skips
+  // a closed descriptor and sleeps out the timeout).
+  const double start = UdpTransport::wall_ms();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(t.wait(UdpTransport::wall_ms() + 1'000.0).has_value());
+  }
+  EXPECT_LT(UdpTransport::wall_ms() - start, 1'000.0);
+}
+
+/// A UDP LiveRouter (router 1) whose bootstrap, router 0, is a socket that
+/// nobody reads: every frame the router sends goes unanswered.
+struct SilentPeerRouter {
+  UdpTransport silent{0, /*port=*/0};
+  UdpTransport transport{1, /*port=*/0};
+  LiveRouter router{[] {
+                      LiveRouterConfig c;
+                      c.self = 1;
+                      c.bootstrap = 0;
+                      c.fingers = 8;
+                      return c;
+                    }(),
+                    &transport};
+
+  SilentPeerRouter() { transport.set_peer(0, silent.port()); }
+
+  /// Wall ms that `steps` back-to-back steps take.
+  double time_steps(int steps) {
+    const double start = UdpTransport::wall_ms();
+    for (int i = 0; i < steps; ++i) router.step(UdpTransport::wall_ms());
+    return UdpTransport::wall_ms() - start;
+  }
+};
+
+TEST(Udp, BusyRouterStepWaitsOutOneSliceOnASilentPeer) {
+  SilentPeerRouter p;
+  p.router.enqueue_join(make_identities(3, 2)[1]);
+  const double start = UdpTransport::wall_ms();
+  p.router.step(start);
+  const double took = UdpTransport::wall_ms() - start;
+  // The join's Locate went out and nothing answered it: the step waited on
+  // the socket for the whole slice, and no longer (the first retry is 40 ms
+  // out; the upper margin is for sanitizer builds).
+  EXPECT_FALSE(p.router.quiescent());
+  EXPECT_EQ(p.transport.stats().tx_frames, 1u);
+  EXPECT_GE(took, LiveRouter::kSliceMs);
+  EXPECT_LT(took, LiveRouter::kSliceMs + 250.0);
+}
+
+TEST(Udp, QuiescentRouterStepIsOnePass) {
+  // Were a quiescent step to wait, 20 steps would take 20 slices.
+  SilentPeerRouter p;
+  ASSERT_TRUE(p.router.quiescent());
+  EXPECT_LT(p.time_steps(20), 20 * LiveRouter::kSliceMs);
+}
+
+TEST(Udp, BusyRouterStepOnAStoppedTransportIsOnePass) {
+  // A stopped transport cannot block, so a busy step does one pass instead
+  // of spinning out its slice.
+  SilentPeerRouter p;
+  p.router.enqueue_join(make_identities(3, 2)[1]);
+  p.transport.stop();
+  EXPECT_LT(p.time_steps(20), 20 * LiveRouter::kSliceMs);
+  EXPECT_FALSE(p.router.quiescent());
 }
 
 TEST(Mesh, LoopbackStormConvergesWithExactRing) {
